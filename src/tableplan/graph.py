@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace as dc_replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -311,14 +312,32 @@ def associate(dets_by_view: dict, thresholds: AssocThresholds,
 # -- relation induction --------------------------------------------------------
 
 
+_HULL_PAD = CONTAIN_DILATE_PX + 1
+
+
 @dataclass
 class _RelEntry:
+    """One node's visible mask in one view, cropped to its bounding box.
+
+    `hull` is what containment is tested against: the crop padded by
+    CONTAIN_DILATE_PX + 1, hole-filled, then dilated CONTAIN_DILATE_PX
+    times.  It is a pure function of the crop, built on first access and
+    kept for the entry's life (one round).  _in_single_view asks for it only
+    when a smaller node's crop meets this node's padded box.
+    """
     crop: np.ndarray
     origin: tuple            # (row0, col0)
-    hull: np.ndarray         # hole-filled + dilated crop
-    hull_origin: tuple
     centroid: tuple
     area: int
+
+    @property
+    def hull_origin(self) -> tuple:
+        return (self.origin[0] - _HULL_PAD, self.origin[1] - _HULL_PAD)
+
+    @cached_property
+    def hull(self) -> np.ndarray:
+        filled = ndimage.binary_fill_holes(np.pad(self.crop, _HULL_PAD))
+        return ndimage.binary_dilation(filled, iterations=CONTAIN_DILATE_PX)
 
 
 def _rel_entry(mask: np.ndarray, centroid: tuple, area: int) -> Optional[_RelEntry]:
@@ -328,14 +347,8 @@ def _rel_entry(mask: np.ndarray, centroid: tuple, area: int) -> Optional[_RelEnt
     cols = np.flatnonzero(mask.any(axis=0))
     r0, r1 = int(rows[0]), int(rows[-1]) + 1
     c0, c1 = int(cols[0]), int(cols[-1]) + 1
-    crop = mask[r0:r1, c0:c1]
-    pad = CONTAIN_DILATE_PX + 1
-    padded = np.pad(crop, pad)
-    hull = ndimage.binary_fill_holes(padded)
-    hull = ndimage.binary_dilation(hull, iterations=CONTAIN_DILATE_PX)
-    return _RelEntry(crop=crop, origin=(r0, c0), hull=hull,
-                     hull_origin=(r0 - pad, c0 - pad), centroid=centroid,
-                     area=area)
+    return _RelEntry(crop=mask[r0:r1, c0:c1], origin=(r0, c0),
+                     centroid=centroid, area=area)
 
 
 def _overlap_count(mask_a, origin_a, mask_b, origin_b) -> int:
@@ -353,6 +366,15 @@ def _overlap_count(mask_a, origin_a, mask_b, origin_b) -> int:
 
 def _in_single_view(a: _RelEntry, b: _RelEntry) -> bool:
     if not a.area < b.area:
+        return False
+    # a's crop must meet b's padded hull box, or nothing is covered and
+    # b's hull need not be built
+    ar0, ac0 = a.origin
+    hr0, hc0 = b.hull_origin
+    hr1 = b.origin[0] + b.crop.shape[0] + _HULL_PAD
+    hc1 = b.origin[1] + b.crop.shape[1] + _HULL_PAD
+    if not (ar0 < hr1 and hr0 < ar0 + a.crop.shape[0]
+            and ac0 < hc1 and hc0 < ac0 + a.crop.shape[1]):
         return False
     covered = _overlap_count(a.crop, a.origin, b.hull, b.hull_origin)
     return covered / a.area >= CONTAIN_COVERAGE
@@ -375,6 +397,9 @@ def induce_relations(entries: dict, image_diag: dict) -> set:
     entries: node_id -> {view_id: _RelEntry}; image_diag: view_id -> float.
     in/on require agreement in every view where both nodes are grounded;
     near needs any single view.  Containment shadows support for a pair.
+    A node's hole-filled, dilated hull is built here, the first time a
+    smaller node's crop meets its padded box in that view; pairs that fail
+    the area order or the box test never build one.
     """
     rels = set()
     ids = sorted(entries)

@@ -532,8 +532,21 @@ def _stable(record: dict) -> dict:
 
 
 def load_log(path) -> list:
+    """The log's records; ConfigError when a line is not a JSON object."""
+    records = []
     with open(path, "r", encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(
+                    f"{path}:{lineno}: not valid JSON: {exc.msg}") from None
+            if not isinstance(record, dict):
+                raise ConfigError(f"{path}:{lineno}: not a JSON object")
+            records.append(record)
+    return records
 
 
 def replay_log(path) -> EpisodeResult:
@@ -549,8 +562,16 @@ def replay_log(path) -> EpisodeResult:
     if header.get("version") != __version__:
         raise VersionMismatch(
             f"log version {header.get('version')!r} != {__version__!r}")
+    missing = [key for key in ("config", "seed") if key not in header]
+    if missing:
+        raise ConfigError(f"{path}: header has no {' or '.join(missing)}")
+    try:
+        seed = int(header["seed"])
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"{path}: header seed {header['seed']!r} is not an integer") from None
     cfg = SceneConfig.from_dict(header["config"])
-    fresh = run_episode(cfg, int(header["seed"]))
+    fresh = run_episode(cfg, seed)
     if len(fresh.records) != len(logged):
         raise DivergenceAt(min(len(fresh.records), len(logged)),
                            f"record count {len(fresh.records)} != {len(logged)}")

@@ -34,7 +34,7 @@ class MaskedObservation:
 
     def visible_source_ids(self, view_id: str) -> list:
         labels, _ = self.views[view_id]
-        present = np.unique(labels)
+        present = np.flatnonzero(np.bincount(labels.ravel()))  # ids are >= 0
         return [int(v) for v in present if v != BACKGROUND]
 
 

@@ -129,6 +129,14 @@ class Renderer:
                         for c in cameras]
         self.lift_m = lift_m
         self._cache: dict = {}
+        # per camera: row and column index of every pixel, flattened, for
+        # the centroid sums in _records
+        self._grids = {}
+        for cam in self.cameras:
+            w, h = cam.image_size
+            self._grids[cam.view_id] = (
+                np.repeat(np.arange(h, dtype=np.float64), w),
+                np.tile(np.arange(w, dtype=np.float64), h))
 
     def _raster(self, obj, cam: CameraSpec):
         key = (obj.id, obj.x, obj.y, obj.z_layer, cam.view_id)
@@ -143,12 +151,14 @@ class Renderer:
 
     def render(self, world: WorldState) -> RawObservation:
         views = {}
+        drawable = sorted(
+            (o for o in world.objects if not hidden_inside_opaque(world, o)),
+            key=lambda o: (o.z_layer, o.id))
         for cam in self.cameras:
             w, h = cam.image_size
             label = np.zeros((h, w), dtype=np.int32)
             full_px = {}
-            drawable = [o for o in world.objects if not hidden_inside_opaque(world, o)]
-            for obj in sorted(drawable, key=lambda o: (o.z_layer, o.id)):
+            for obj in drawable:
                 mask, (r0, c0) = self._raster(obj, cam)
                 full_px[obj.id] = int(mask.sum())
                 mh, mw = mask.shape
@@ -158,7 +168,8 @@ class Renderer:
                     continue
                 sub = mask[rr0 - r0:rr1 - r0, cc0 - c0:cc1 - c0]
                 label[rr0:rr1, cc0:cc1][sub] = obj.id
-            records = self._records(world, label, full_px)
+            records = self._records(world, label, full_px,
+                                    self._grids[cam.view_id])
             views[cam.view_id] = ViewObservation(cam.view_id, cam.image_size,
                                                  label, records)
         return RawObservation(
@@ -167,12 +178,11 @@ class Renderer:
         )
 
     @staticmethod
-    def _records(world: WorldState, label: np.ndarray, full_px: dict) -> dict:
+    def _records(world: WorldState, label: np.ndarray, full_px: dict,
+                 grids: tuple) -> dict:
         flat = label.ravel()
         counts = np.bincount(flat, minlength=1)
-        h, w = label.shape
-        rows = np.repeat(np.arange(h, dtype=np.float64), w)
-        cols = np.tile(np.arange(w, dtype=np.float64), h)
+        rows, cols = grids
         row_sum = np.bincount(flat, weights=rows, minlength=counts.size)
         col_sum = np.bincount(flat, weights=cols, minlength=counts.size)
         records = {}

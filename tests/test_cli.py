@@ -105,6 +105,42 @@ def test_replay_missing_file(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def good_log_lines(tmp_path_factory):
+    log = tmp_path_factory.mktemp("log") / "ep.jsonl"
+    assert main(["run", "--task", "pnp_twice", "--log", str(log)]) == 0
+    return log.read_text().splitlines()
+
+
+def _truncate_last(lines):
+    return lines[:-1] + [lines[-1][:len(lines[-1]) // 2]]
+
+
+def _edit_header(change):
+    def edit(lines):
+        header = json.loads(lines[0])
+        change(header)
+        return [json.dumps(header)] + lines[1:]
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_truncate_last, "not valid JSON"),
+    (lambda lines: lines[:2] + ["[1, 2]"] + lines[2:], ":3: not a JSON object"),
+    (_edit_header(lambda h: h.pop("config")), "header has no config"),
+    (_edit_header(lambda h: h.pop("seed")), "header has no seed"),
+    (_edit_header(lambda h: h.update(seed="abc")), "is not an integer"),
+], ids=["truncated_line", "non_object_line", "header_without_config",
+        "header_without_seed", "header_with_non_integer_seed"])
+def test_replay_malformed_log(good_log_lines, tmp_path, capsys, edit, message):
+    log = tmp_path / "bad.jsonl"
+    log.write_text("\n".join(edit(list(good_log_lines))) + "\n")
+    capsys.readouterr()
+    assert main(["replay", str(log)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
 def test_suite_table_and_report(tmp_path, capsys):
     out_dir = tmp_path / "report"
     code = main(["suite", "--task", "pnp_twice", "--seeds", "2",

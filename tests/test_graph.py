@@ -3,10 +3,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from oracles import HAND_ANCHORS, HAND_POINT, HAND_SIGNATURE
 from tableplan.config import AssocThresholds, NoiseConfig, SceneConfig
-from tableplan.graph import (NoAnchors, SemanticGraph, _rebuild_edges,
+from tableplan.graph import (CONTAIN_COVERAGE, CONTAIN_DILATE_PX,
+                             NEAR_FRACTION, SUPPORT_CONTACT_PX,
+                             NoAnchors, SemanticGraph, _rebuild_edges,
                              apply_action_feedback, associate,
                              associate_geometric, associate_semantic,
                              distance_signature, induce_relations,
@@ -226,6 +229,160 @@ def test_relations_match_oracle_on_initial_scenes():
                     for (a, b, rel) in ground_truth_relations(world, 0.15)
                     if a in relevant and b in relevant}
             assert got == want, (task, seed)
+
+
+HULL_PAD = CONTAIN_DILATE_PX + 1
+
+
+def eager_relations(masks: dict, image_diag: dict) -> set:
+    """Reference rules over full frames, with every hull built up front.
+
+    masks: node_id -> {view_id: full-frame bool mask}.
+    """
+    hulls = {}
+    for nid, views in masks.items():
+        for v, mask in views.items():
+            filled = ndimage.binary_fill_holes(np.pad(mask, HULL_PAD))
+            hull = ndimage.binary_dilation(filled, iterations=CONTAIN_DILATE_PX)
+            hulls[nid, v] = hull[HULL_PAD:-HULL_PAD, HULL_PAD:-HULL_PAD]
+
+    def centroid(mask):
+        rows, cols = np.nonzero(mask)
+        return cols.mean() + 0.5, rows.mean() + 0.5
+
+    def inside(a, b, v):
+        ma, area_a = masks[a][v], int(masks[a][v].sum())
+        if not area_a < int(masks[b][v].sum()):
+            return False
+        return np.count_nonzero(ma & hulls[b, v]) / area_a >= CONTAIN_COVERAGE
+
+    def on(a, b, v):
+        ma, mb = masks[a][v], masks[b][v]
+        if not centroid(ma)[1] < centroid(mb)[1]:
+            return False
+        shifted = np.zeros_like(ma)
+        shifted[1:] = ma[:-1]
+        return np.count_nonzero(shifted & mb) >= SUPPORT_CONTACT_PX
+
+    rels = set()
+    for a in sorted(masks):
+        for b in sorted(masks):
+            both = [v for v in masks[a] if v in masks[b]]
+            if a == b or not both:
+                continue
+            if all(inside(a, b, v) for v in both):
+                rels.add((a, b, "in"))
+            elif all(on(a, b, v) for v in both):
+                rels.add((a, b, "on"))
+            if a < b and any(
+                    math.dist(centroid(masks[a][v]), centroid(masks[b][v]))
+                    / image_diag[v] < NEAR_FRACTION for v in both):
+                rels.add((a, b, "near"))
+    return rels
+
+
+def random_shape(rng, shape, box):
+    """One mask of a random kind inside box = (r0, c0, r1, c1)."""
+    r0, c0, r1, c1 = box
+    out = np.zeros(shape, dtype=bool)
+    kind = rng.choice(["rect", "ring", "diagonal_hole", "pixel", "blob"])
+    if kind == "pixel":
+        out[rng.integers(r0, r1), rng.integers(c0, c1)] = True
+    elif kind == "rect" or r1 - r0 < 6 or c1 - c0 < 6:
+        out[r0:r1, c0:c1] = True
+    elif kind == "blob":
+        out[r0:r1, c0:c1] = rng.random((r1 - r0, c1 - c0)) < 0.6
+    else:
+        out[r0:r1, c0:c1] = True
+        out[r0 + 2:r1 - 2, c0 + 2:c1 - 2] = False
+        if kind == "diagonal_hole":
+            # the hole reaches the outside only through corner-to-corner steps
+            out[r0, c0] = out[r0 + 1, c0 + 1] = False
+    return out
+
+
+def random_scene(rng, shape=(48, 48)):
+    """Masks painted back to front into one label map per view, so they are
+    disjoint as rendered ones are; later shapes often sit in the first."""
+    h, w = shape
+    n = int(rng.integers(2, 7))
+    views = {}
+    for v in ("a", "b"):
+        label = np.zeros(shape, dtype=np.int32)
+        outer = None
+        for nid in range(1, n + 1):
+            if rng.random() < 0.2:
+                continue  # not grounded in this view
+            if (outer is not None and outer[2] - outer[0] > 1
+                    and outer[3] - outer[1] > 1 and rng.random() < 0.5):
+                r0 = int(rng.integers(outer[0], outer[2] - 1))
+                c0 = int(rng.integers(outer[1], outer[3] - 1))
+                r1 = int(rng.integers(r0 + 1, outer[2] + 1))
+                c1 = int(rng.integers(c0 + 1, outer[3] + 1))
+            else:
+                # corners may land on the frame edge
+                r0, c0 = int(rng.integers(0, h - 2)), int(rng.integers(0, w - 2))
+                r1 = int(rng.integers(r0 + 1, min(r0 + 30, h) + 1))
+                c1 = int(rng.integers(c0 + 1, min(c0 + 30, w) + 1))
+            if outer is None:
+                outer = (r0, c0, r1, c1)
+            label[random_shape(rng, shape, (r0, c0, r1, c1))] = nid
+        views[v] = label
+    masks = {}
+    for v, label in views.items():
+        for nid in range(1, n + 1):
+            if (label == nid).any():
+                masks.setdefault(nid, {})[v] = label == nid
+    return masks
+
+
+def test_lazy_hulls_match_eager_reference():
+    rng = np.random.default_rng(20240917)
+    diag = {"a": 20.0, "b": 20.0}
+    seen = set()
+    for _ in range(300):
+        masks = random_scene(rng)
+        entries = {nid: {v: entry_from(m) for v, m in views.items()}
+                   for nid, views in masks.items()}
+        want = eager_relations(masks, diag)
+        assert induce_relations(entries, diag) == want
+        seen.update(rel for (_, _, rel) in want)
+    assert seen == {"in", "on", "near"}
+
+
+@pytest.fixture
+def fill_holes_calls(monkeypatch):
+    calls = []
+    real = ndimage.binary_fill_holes
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ndimage, "binary_fill_holes", counting)
+    return calls
+
+
+def test_far_apart_masks_build_no_hull(fill_holes_calls):
+    small = np.zeros((60, 60), dtype=bool)
+    small[2:6, 2:6] = True
+    ring = np.zeros((60, 60), dtype=bool)
+    ring[30:50, 30:50] = True
+    ring[34:46, 34:46] = False
+    entries = {1: {"v": entry_from(small)}, 2: {"v": entry_from(ring)}}
+    assert induce_relations(entries, {"v": 100.0}) == set()
+    assert fill_holes_calls == []
+
+
+def test_only_the_larger_hull_is_built(fill_holes_calls):
+    small = np.zeros((60, 60), dtype=bool)
+    small[38:42, 38:42] = True
+    ring = np.zeros((60, 60), dtype=bool)
+    ring[30:50, 30:50] = True
+    ring[34:46, 34:46] = False
+    entries = {1: {"v": entry_from(small)}, 2: {"v": entry_from(ring)}}
+    assert (1, 2, "in") in induce_relations(entries, {"v": 1000.0})
+    assert fill_holes_calls == [(20 + 2 * HULL_PAD, 20 + 2 * HULL_PAD)]
 
 
 # -- graph structure and queries ------------------------------------------------------
