@@ -76,6 +76,8 @@ def _split(text: str) -> list:
 
 def _cmd_suite(args) -> int:
     cfg = _base_config(args)
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
     grid = set(_split(args.grid))
     unknown = grid - {"planner", "vision", "distractors"}
     if unknown:
@@ -83,7 +85,11 @@ def _cmd_suite(args) -> int:
     planners = _split(args.planners) if "planner" in grid else [cfg.planner]
     visions = _split(args.visions) if "vision" in grid else [cfg.vision]
     if "distractors" in grid:
-        distractors = [int(x) for x in _split(args.distractors)]
+        try:
+            distractors = [int(x) for x in _split(args.distractors)]
+        except ValueError:
+            raise ConfigError(f"--distractors must be comma-separated "
+                              f"integers, got {args.distractors!r}") from None
     else:
         distractors = [cfg.distractors]
     for p in planners:

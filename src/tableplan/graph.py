@@ -45,10 +45,22 @@ class NoAnchors(Exception):
 @dataclass
 class Grounding:
     mask: np.ndarray          # full-frame bool
+    box: tuple                # (row0, row1, col0, col1), half-open; holds
+    # every mask pixel (tight for detections, maybe loose after tracker drift)
     centroid: tuple           # (col, row) pixel centres
     area_px: int
     source_id: int
     seen_step: int            # last step this grounding was confirmed
+
+
+def mask_box(mask: np.ndarray) -> tuple:
+    """Tight (row0, row1, col0, col1) box of a full-frame mask, by a
+    whole-frame scan; (0, 0, 0, 0) for an empty mask."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    if rows.size == 0:
+        return (0, 0, 0, 0)
+    cols = np.flatnonzero(mask.any(axis=0))
+    return (int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1)
 
 
 @dataclass
@@ -340,14 +352,17 @@ class _RelEntry:
         return ndimage.binary_dilation(filled, iterations=CONTAIN_DILATE_PX)
 
 
-def _rel_entry(mask: np.ndarray, centroid: tuple, area: int) -> Optional[_RelEntry]:
-    rows = np.flatnonzero(mask.any(axis=1))
+def _rel_entry(mask: np.ndarray, box: tuple, centroid: tuple,
+               area: int) -> Optional[_RelEntry]:
+    r0, r1, c0, c1 = box
+    sub = mask[r0:r1, c0:c1]
+    rows = np.flatnonzero(sub.any(axis=1))
     if rows.size == 0:
         return None
-    cols = np.flatnonzero(mask.any(axis=0))
-    r0, r1 = int(rows[0]), int(rows[-1]) + 1
-    c0, c1 = int(cols[0]), int(cols[-1]) + 1
-    return _RelEntry(crop=mask[r0:r1, c0:c1], origin=(r0, c0),
+    cols = np.flatnonzero(sub.any(axis=0))
+    tr0, tr1 = int(rows[0]), int(rows[-1]) + 1
+    tc0, tc1 = int(cols[0]), int(cols[-1]) + 1
+    return _RelEntry(crop=sub[tr0:tr1, tc0:tc1], origin=(r0 + tr0, c0 + tc0),
                      centroid=centroid, area=area)
 
 
@@ -432,7 +447,7 @@ def _entries_for(nodes: list, step: int) -> dict:
         for view_id, g in node.groundings.items():
             if g.seen_step != step:
                 continue
-            entry = _rel_entry(g.mask, g.centroid, g.area_px)
+            entry = _rel_entry(g.mask, g.box, g.centroid, g.area_px)
             if entry is not None:
                 per_view[view_id] = entry
         if per_view:
@@ -443,15 +458,18 @@ def _entries_for(nodes: list, step: int) -> dict:
 # -- graph construction and update ----------------------------------------------
 
 
-def _mask_stats(mask: np.ndarray) -> tuple:
-    rows, cols = np.nonzero(mask)
+def _mask_stats(mask: np.ndarray, box: tuple) -> tuple:
+    r0, r1, c0, c1 = box
+    rows, cols = np.nonzero(mask[r0:r1, c0:c1])
     n = rows.size
-    centroid = (float(cols.mean()) + 0.5, float(rows.mean()) + 0.5)
+    # exact integer sums, so the division rounds once
+    centroid = ((int(cols.sum()) + c0 * n) / n + 0.5,
+                (int(rows.sum()) + r0 * n) / n + 0.5)
     return centroid, int(n)
 
 
 def _grounding_from_detection(det: Detection, step: int) -> Grounding:
-    return Grounding(mask=det.mask, centroid=det.centroid,
+    return Grounding(mask=det.mask, box=det.box, centroid=det.centroid,
                      area_px=det.area_px, source_id=det.source_id,
                      seen_step=step)
 
@@ -461,11 +479,19 @@ def _image_diags(raw_obs) -> dict:
             for v, obs in raw_obs.views.items()}
 
 
-def _iou(mask_a: np.ndarray, mask_b: np.ndarray) -> float:
-    inter = int(np.count_nonzero(mask_a & mask_b))
+def _iou(mask_a: np.ndarray, box_a: tuple, mask_b: np.ndarray,
+         box_b: tuple) -> float:
+    """Mask IoU, counted inside the boxes (each holds all of its mask)."""
+    r0, r1 = max(box_a[0], box_b[0]), min(box_a[1], box_b[1])
+    c0, c1 = max(box_a[2], box_b[2]), min(box_a[3], box_b[3])
+    if r0 >= r1 or c0 >= c1:
+        return 0.0
+    inter = int(np.count_nonzero(mask_a[r0:r1, c0:c1] & mask_b[r0:r1, c0:c1]))
     if inter == 0:
         return 0.0
-    union = int(np.count_nonzero(mask_a | mask_b))
+    r0, r1 = min(box_a[0], box_b[0]), max(box_a[1], box_b[1])
+    c0, c1 = min(box_a[2], box_b[2]), max(box_a[3], box_b[3])
+    union = int(np.count_nonzero(mask_a[r0:r1, c0:c1] | mask_b[r0:r1, c0:c1]))
     return inter / union
 
 
@@ -621,13 +647,13 @@ def update_graph(graph: SemanticGraph, raw_obs, task_spec: TaskSpec,
             merged.add((target, view_id))
 
     # tracker output stands in for the grounding when no detection merged
-    for (node_id, view_id), mask in tracked.items():
+    for (node_id, view_id), (mask, box) in tracked.items():
         if (node_id, view_id) in merged:
             continue
-        centroid, area = _mask_stats(mask)
+        centroid, area = _mask_stats(mask, box)
         node = graph.nodes[node_id]
         node.groundings[view_id] = Grounding(
-            mask=mask, centroid=centroid, area_px=area,
+            mask=mask, box=box, centroid=centroid, area_px=area,
             source_id=node.groundings[view_id].source_id, seen_step=step)
         node.last_seen_step = step
 
@@ -646,10 +672,10 @@ def _merge_target(graph: SemanticGraph, det: Detection, view_id: str,
     for node in graph.sorted_nodes():
         if (node.node_id, view_id) in merged:
             continue
-        mask = tracked.get((node.node_id, view_id))
-        if mask is None:
+        hit = tracked.get((node.node_id, view_id))
+        if hit is None:
             continue
-        iou = _iou(det.mask, mask)
+        iou = _iou(det.mask, det.box, *hit)
         if iou > best_iou:
             best_iou, best_iou_node = iou, node.node_id
     if best_iou >= 0.5:

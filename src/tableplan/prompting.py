@@ -29,48 +29,75 @@ class UnresolvedHole(Exception):
 @dataclass(frozen=True)
 class MaskedObservation:
     views: dict          # view_id -> (masked label map, retention mask)
+    boxes: dict          # view_id -> (row0, row1, col0, col1) holding every
+    # retained pixel, or None when nothing is retained
     subtask_cue: str
     relevant_ids: frozenset
 
     def visible_source_ids(self, view_id: str) -> list:
+        # the masked map is background outside the retention mask, so
+        # counting inside the box counts the retained pixels' ids only
+        box = self.boxes[view_id]
+        if box is None:
+            return []
         labels, _ = self.views[view_id]
-        present = np.flatnonzero(np.bincount(labels.ravel()))  # ids are >= 0
+        r0, r1, c0, c1 = box
+        present = np.flatnonzero(np.bincount(labels[r0:r1, c0:c1].ravel()))
         return [int(v) for v in present if v != BACKGROUND]
 
 
-def retention_mask(graph: SemanticGraph, relevant_ids, view_id: str,
-                   shape: tuple) -> np.ndarray:
-    """Union of the relevant nodes' masks in one view (all-zero if none)."""
+def _retention(graph: SemanticGraph, relevant_ids, view_id: str,
+               shape: tuple) -> tuple:
+    """(retention mask, box holding every retained pixel or None)."""
     out = np.zeros(shape, dtype=bool)
+    box = None
     for node_id in sorted(relevant_ids):
         node = graph.nodes.get(node_id)
         if node is None:
             raise UnknownNode(f"node {node_id} is not in the graph")
         grounding = node.groundings.get(view_id)
-        if grounding is not None:
-            out |= grounding.mask
-    return out
+        if grounding is None:
+            continue
+        out |= grounding.mask
+        r0, r1, c0, c1 = grounding.box
+        if box is not None:
+            r0, r1 = min(r0, box[0]), max(r1, box[1])
+            c0, c1 = min(c0, box[2]), max(c1, box[3])
+        box = (r0, r1, c0, c1)
+    return out, box
+
+
+def retention_mask(graph: SemanticGraph, relevant_ids, view_id: str,
+                   shape: tuple) -> np.ndarray:
+    """Union of the relevant nodes' masks in one view (all-zero if none)."""
+    return _retention(graph, relevant_ids, view_id, shape)[0]
 
 
 def clutter_free_obs(raw_obs, graph: SemanticGraph, relevant_ids,
                      subtask_cue: str) -> MaskedObservation:
     """Label maps with every non-retained pixel set to the background."""
     views = {}
+    boxes = {}
     for view_id in sorted(raw_obs.views):
         labels = raw_obs.views[view_id].label_map
-        mask = retention_mask(graph, relevant_ids, view_id, labels.shape)
-        views[view_id] = (np.where(mask, labels, BACKGROUND), mask)
-    return MaskedObservation(views=views, subtask_cue=subtask_cue,
+        mask, boxes[view_id] = _retention(graph, relevant_ids, view_id,
+                                          labels.shape)
+        masked = np.full_like(labels, BACKGROUND)
+        np.copyto(masked, labels, where=mask)
+        views[view_id] = (masked, mask)
+    return MaskedObservation(views=views, boxes=boxes, subtask_cue=subtask_cue,
                              relevant_ids=frozenset(relevant_ids))
 
 
 def raw_obs_passthrough(raw_obs, relevant_ids, subtask_cue: str) -> MaskedObservation:
     """The no-masking ablation: full label maps, all-ones retention."""
     views = {}
+    boxes = {}
     for view_id in sorted(raw_obs.views):
         labels = raw_obs.views[view_id].label_map
         views[view_id] = (labels.copy(), np.ones(labels.shape, dtype=bool))
-    return MaskedObservation(views=views, subtask_cue=subtask_cue,
+        boxes[view_id] = (0, labels.shape[0], 0, labels.shape[1])
+    return MaskedObservation(views=views, boxes=boxes, subtask_cue=subtask_cue,
                              relevant_ids=frozenset(relevant_ids))
 
 

@@ -9,6 +9,10 @@ plane and cross-view distance ratios are preserved exactly.
 
 Occlusion is painted back to front by (z_layer, id); objects inside an
 opaque container render nothing.
+
+Every visible object's record carries a box = (row0, row1, col0, col1),
+half-open, that holds every pixel of its visible mask; per-object work
+downstream (masks, statistics, RLE, overlap tests) stays inside that box.
 """
 
 from __future__ import annotations
@@ -97,6 +101,8 @@ class ViewRecord:
     base_feature: np.ndarray
     centroid: tuple  # (col, row) of the visible mask
     area_px: int  # visible pixels
+    box: tuple  # (row0, row1, col0, col1), half-open, tight around the
+    # visible mask: its first and last rows and columns each hold a pixel
     full_px: int  # unoccluded, unclipped footprint pixels
     visible_fraction: float
 
@@ -121,7 +127,10 @@ class Renderer:
     """Renders a world into per-view label maps, caching polygon rasters.
 
     The cache key is (object id, pose, view); within an episode only the
-    one or two objects a chunk moved get re-rasterized.
+    one or two objects a chunk moved get re-rasterized.  An object's visible
+    pixels all lie in the frame-clipped box it was painted into (later paints
+    only overwrite), so its record -- area, centroid, tight box -- is computed
+    from that box alone, never from a whole-frame pass.
     """
 
     def __init__(self, cameras, lift_m: float):
@@ -129,14 +138,6 @@ class Renderer:
                         for c in cameras]
         self.lift_m = lift_m
         self._cache: dict = {}
-        # per camera: row and column index of every pixel, flattened, for
-        # the centroid sums in _records
-        self._grids = {}
-        for cam in self.cameras:
-            w, h = cam.image_size
-            self._grids[cam.view_id] = (
-                np.repeat(np.arange(h, dtype=np.float64), w),
-                np.tile(np.arange(w, dtype=np.float64), h))
 
     def _raster(self, obj, cam: CameraSpec):
         key = (obj.id, obj.x, obj.y, obj.z_layer, cam.view_id)
@@ -158,6 +159,7 @@ class Renderer:
             w, h = cam.image_size
             label = np.zeros((h, w), dtype=np.int32)
             full_px = {}
+            boxes = {}  # object id -> clipped box it was painted into
             for obj in drawable:
                 mask, (r0, c0) = self._raster(obj, cam)
                 full_px[obj.id] = int(mask.sum())
@@ -168,8 +170,8 @@ class Renderer:
                     continue
                 sub = mask[rr0 - r0:rr1 - r0, cc0 - c0:cc1 - c0]
                 label[rr0:rr1, cc0:cc1][sub] = obj.id
-            records = self._records(world, label, full_px,
-                                    self._grids[cam.view_id])
+                boxes[obj.id] = (rr0, rr1, cc0, cc1)
+            records = self._records(world, label, full_px, boxes)
             views[cam.view_id] = ViewObservation(cam.view_id, cam.image_size,
                                                  label, records)
         return RawObservation(
@@ -179,26 +181,34 @@ class Renderer:
 
     @staticmethod
     def _records(world: WorldState, label: np.ndarray, full_px: dict,
-                 grids: tuple) -> dict:
-        flat = label.ravel()
-        counts = np.bincount(flat, minlength=1)
-        rows, cols = grids
-        row_sum = np.bincount(flat, weights=rows, minlength=counts.size)
-        col_sum = np.bincount(flat, weights=cols, minlength=counts.size)
+                 boxes: dict) -> dict:
         records = {}
         for obj in world.objects:
             oid = obj.id
-            if oid >= counts.size or counts[oid] == 0:
+            if oid not in boxes:
                 continue
-            n = int(counts[oid])
-            centroid = (col_sum[oid] / n + 0.5, row_sum[oid] / n + 0.5)
+            r0, r1, c0, c1 = boxes[oid]
+            sub = label[r0:r1, c0:c1] == oid
+            per_row = sub.sum(axis=1)
+            n = int(per_row.sum())
+            if n == 0:
+                continue
+            per_col = sub.sum(axis=0)
+            # exact integer sums, so the division rounds once
+            row_sum = int(per_row @ np.arange(r0, r1))
+            col_sum = int(per_col @ np.arange(c0, c1))
+            rows = np.flatnonzero(per_row)
+            cols = np.flatnonzero(per_col)
+            box = (r0 + int(rows[0]), r0 + int(rows[-1]) + 1,
+                   c0 + int(cols[0]), c0 + int(cols[-1]) + 1)
             full = max(full_px.get(oid, n), 1)
             records[oid] = ViewRecord(
                 object_id=oid, class_name=obj.class_name,
                 attributes=dict(obj.attributes),
                 appearance_seed=obj.appearance_seed,
                 base_feature=base_feature(obj.appearance_seed),
-                centroid=centroid, area_px=n, full_px=full,
+                centroid=(col_sum / n + 0.5, row_sum / n + 0.5),
+                area_px=n, box=box, full_px=full,
                 visible_fraction=n / full,
             )
         return records

@@ -1,0 +1,74 @@
+"""Seeded random rendered scenes for the box-local equivalence tests.
+
+Initial layouts keep every object fully inside both frames, so these scenes
+move about half the objects to random poses that reach past the table edge
+(clipped at, or wholly outside, the frame) and onto random z layers (painted
+over or under their neighbours).  Objects inside an opaque cup stay hidden.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+import numpy as np
+
+from tableplan.config import NoiseConfig, SceneConfig
+from tableplan.graph import init_graph
+from tableplan.perception import make_task_spec, track
+from tableplan.render import Renderer
+from tableplan.rng import Rng
+from tableplan.world import LayoutInfeasible, init_world
+
+TASKS = ("pnp_twice", "place_and_stack", "swap_cups")
+
+
+def scattered_world(rng: np.random.Generator):
+    """(cfg, world) with a random task, distractors and scattered poses."""
+    while True:
+        task = TASKS[int(rng.integers(len(TASKS)))]
+        cfg = SceneConfig(task=task, distractors=int(rng.integers(0, 9)))
+        try:
+            world = init_world(cfg, int(rng.integers(1 << 30)))
+        except LayoutInfeasible:
+            continue
+        break
+    objects = []
+    for obj in world.objects:
+        if rng.random() < 0.5:
+            obj = replace(obj, x=float(rng.uniform(-0.12, 1.12)),
+                          y=float(rng.uniform(-0.12, 0.87)),
+                          z_layer=int(rng.integers(1, 4)))
+        objects.append(obj)
+    return cfg, replace(world, objects=tuple(objects))
+
+
+def scattered_scenes(count: int, seed: int):
+    """Yield (cfg, world, raw) for `count` scattered scenes."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        cfg, world = scattered_world(rng)
+        raw = Renderer(cfg.cameras, cfg.geometry["lift_m"]).render(world)
+        yield cfg, world, raw
+
+
+def graph_and_drifted_tracks(cfg, raw, seed: int):
+    """The scene's initial graph and its masks tracked with a drift of up
+    to 24 px, which carries masks near the edge partly off the frame."""
+    graph = init_graph(raw, make_task_spec(cfg.task), cfg.thresholds)
+    tracked = track(graph.sorted_nodes(), raw,
+                    NoiseConfig(tracker_drift_px_per_step=8.0),
+                    Rng.substream(seed, "drift"), steps_elapsed=3)
+    return graph, tracked
+
+
+def full_frame_box(mask: np.ndarray):
+    """Tight (row0, row1, col0, col1) box by a whole-frame scan, or None."""
+    rows, cols = np.nonzero(mask)
+    if rows.size == 0:
+        return None
+    return (int(rows.min()), int(rows.max()) + 1,
+            int(cols.min()), int(cols.max()) + 1)
+
+
+def touches_edge(box: tuple, shape: tuple) -> bool:
+    return box[0] == 0 or box[2] == 0 or box[1] == shape[0] or box[3] == shape[1]

@@ -169,6 +169,18 @@ def test_suite_rejects_unknown_planner_value(capsys):
     assert "unknown planner mode" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args,message", [
+    (["--grid", "distractors", "--distractors", "1,x"],
+     "--distractors must be comma-separated integers"),
+    (["--seeds", "0"], "--seeds must be at least 1"),
+])
+def test_suite_rejects_bad_counts(args, message, capsys):
+    argv = ["suite", "--task", "swap_cups", "--seeds", "1", *args]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
 def test_assoc_bench(capsys):
     assert main(["assoc-bench", "--scenes", "5"]) == 0
     out = capsys.readouterr().out

@@ -43,6 +43,19 @@ def test_perfect_episode(task, chunks, milestones):
     assert not res.footer["budget_exhausted"]
 
 
+@pytest.mark.xfail(strict=True, reason="stacked cup induces no 'on' edge")
+def test_perfect_place_and_stack_seed_300059_finishes():
+    """A known perfect-mode failure, pinned until the support rule is fixed.
+
+    The cube drop and the stack chunk both complete, and the green cup then
+    renders above the red one in the overhead view (centroids (122, 67.6)
+    over (122, 77.6)).  No `on` edge is induced between them, so the
+    `stack-cups` goal never holds; the policy re-picks the green cup and
+    re-stacks it until the step budget runs out.
+    """
+    assert run_episode(perfect_config("place_and_stack"), 300059).success
+
+
 def test_record_schema():
     res = run_episode(perfect_config("pnp_twice"), seed=1)
     header, *middle, footer = res.records

@@ -156,7 +156,7 @@ def test_track_noise_free_reproduces_masks():
                 Rng.substream(0, "t"), steps_elapsed=1)
     for node in g.sorted_nodes():
         for view_id, grounding in node.groundings.items():
-            mask = out[(node.node_id, view_id)]
+            mask, _ = out[(node.node_id, view_id)]
             fresh = raw.views[view_id].label_map == grounding.source_id
             assert np.array_equal(mask, fresh)
 
@@ -177,7 +177,7 @@ def test_track_drift_bounded():
         for view_id, grounding in node.groundings.items():
             if (node.node_id, view_id) not in out:
                 continue  # drifted fully out of frame
-            mask = out[(node.node_id, view_id)]
+            mask, _ = out[(node.node_id, view_id)]
             fresh = raw.views[view_id].label_map == grounding.source_id
             rows, cols = np.nonzero(mask)
             frows, fcols = np.nonzero(fresh)

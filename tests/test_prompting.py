@@ -11,6 +11,8 @@ from tableplan.render import render_views
 from tableplan.rng import Rng
 from tableplan.world import DISTRACTOR_CLASSES, init_world
 
+from scenes import graph_and_drifted_tracks, scattered_scenes
+
 
 def scene(task="swap_cups", seed=0, **kw):
     cfg = SceneConfig(task=task, **kw)
@@ -121,3 +123,32 @@ def test_random_retention_subsets_stay_sound():
                    for gr in g.nodes[nid].groundings.values()}
         for view_id in obs.views:
             assert set(obs.visible_source_ids(view_id)) <= allowed
+
+
+def test_box_local_masking_matches_full_frame():
+    # retention, masked maps and visible_source_ids against whole-frame
+    # references; some groundings are tracker masks drifted off the frame
+    rng = np.random.default_rng(4242)
+    for k, (cfg, world, raw) in enumerate(scattered_scenes(200, seed=31)):
+        g, tracked = graph_and_drifted_tracks(cfg, raw, k)
+        for (node_id, view_id), (mask, box) in tracked.items():
+            if rng.random() < 0.5:
+                grounding = g.nodes[node_id].groundings[view_id]
+                grounding.mask, grounding.box = mask, box
+        ids = [n.node_id for n in g.sorted_nodes()]
+        keep = [i for i in ids if rng.random() < 0.4]
+        masked = clutter_free_obs(raw, g, keep, "cue")
+        passthrough = raw_obs_passthrough(raw, keep, "cue")
+        for view_id, view in raw.views.items():
+            label = view.label_map
+            retained = np.zeros(label.shape, dtype=bool)
+            for i in keep:
+                if view_id in g.nodes[i].groundings:
+                    retained |= g.nodes[i].groundings[view_id].mask
+            labels, mask = masked.views[view_id]
+            assert np.array_equal(mask, retained)
+            assert np.array_equal(labels, np.where(retained, label, BACKGROUND))
+            want = sorted(set(np.unique(label[retained]).tolist()) - {0})
+            assert masked.visible_source_ids(view_id) == want
+            assert passthrough.visible_source_ids(view_id) == \
+                sorted(set(np.unique(label).tolist()) - {0})

@@ -12,6 +12,7 @@ from tableplan.serialize import (canonical_json, config_hash, fmt_float,
                                  rle_decode, rle_encode)
 from tableplan.world import Primitive, apply_primitive, init_world
 
+from scenes import graph_and_drifted_tracks, scattered_scenes
 from test_dsl import PLANS
 
 
@@ -139,3 +140,33 @@ def test_snapshot_deterministic_bytes():
     a = canonical_json(graph_to_snapshot(built_graph()))
     b = canonical_json(graph_to_snapshot(built_graph()))
     assert a == b
+
+
+def test_rle_encode_in_box_matches_full_frame():
+    # detection masks (tight boxes) and drifted tracker masks (loose boxes,
+    # partly off the frame) from scattered scenes, plus small hand masks
+    cases = []
+    for k, (cfg, world, raw) in enumerate(scattered_scenes(200, seed=5150)):
+        graph, tracked = graph_and_drifted_tracks(cfg, raw, k)
+        for node in graph.sorted_nodes():
+            cases += [(g.mask, g.box) for g in node.groundings.values()]
+        cases += list(tracked.values())
+    rng = np.random.default_rng(77)
+    for _ in range(300):
+        h, w = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+        mask = rng.random((h, w)) < rng.choice([0.0, 0.3, 1.0])
+        rows = np.flatnonzero(mask.any(axis=1))
+        if rows.size:  # any box of whole rows around the mask's rows
+            box = (int(rng.integers(0, rows[0] + 1)),
+                   int(rng.integers(rows[-1] + 1, h + 1)), 0, w)
+        else:
+            r = int(rng.integers(0, h + 1))
+            box = (r, r, 0, 0)
+        cases.append((mask, box))
+    edge_rows = 0
+    for mask, box in cases:
+        runs = rle_encode(mask, box)
+        assert runs == rle_encode(mask)
+        assert np.array_equal(rle_decode(runs, mask.shape), mask)
+        edge_rows += bool(mask[0].any() or mask[-1].any())
+    assert edge_rows > 0
