@@ -8,7 +8,6 @@ episode log headers, so a log is self-describing.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, asdict
 from typing import Any
 
@@ -278,8 +277,3 @@ def default_noise_config(task: str, **overrides) -> SceneConfig:
     cfg = SceneConfig(task=task, **kw)
     cfg.validate()
     return cfg
-
-
-def near_band_guard(distance: float, threshold: float, margin: float) -> bool:
-    """True when `distance` stays clear of the near-threshold knife edge."""
-    return abs(distance - threshold) >= margin and math.isfinite(distance)

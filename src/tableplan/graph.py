@@ -30,6 +30,7 @@ from scipy import ndimage
 from .config import AssocThresholds, NoiseConfig
 from .perception import (Detection, TaskSpec, cosine_distance,
                          identify_relevant, segment, track)
+from .region import Region
 from .rng import Rng
 
 NEAR_FRACTION = 0.12   # of the image diagonal
@@ -44,23 +45,11 @@ class NoAnchors(Exception):
 
 @dataclass
 class Grounding:
-    mask: np.ndarray          # full-frame bool
-    box: tuple                # (row0, row1, col0, col1), half-open; holds
-    # every mask pixel (tight for detections, maybe loose after tracker drift)
+    region: Region
     centroid: tuple           # (col, row) pixel centres
     area_px: int
     source_id: int
     seen_step: int            # last step this grounding was confirmed
-
-
-def mask_box(mask: np.ndarray) -> tuple:
-    """Tight (row0, row1, col0, col1) box of a full-frame mask, by a
-    whole-frame scan; (0, 0, 0, 0) for an empty mask."""
-    rows = np.flatnonzero(mask.any(axis=1))
-    if rows.size == 0:
-        return (0, 0, 0, 0)
-    cols = np.flatnonzero(mask.any(axis=0))
-    return (int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1)
 
 
 @dataclass
@@ -77,9 +66,6 @@ class GraphNode:
 
     def seen(self, step: int) -> bool:
         return any(g.seen_step == step for g in self.groundings.values())
-
-    def views_seen(self, step: int) -> list:
-        return sorted(v for v, g in self.groundings.items() if g.seen_step == step)
 
 
 @dataclass
@@ -329,54 +315,27 @@ _HULL_PAD = CONTAIN_DILATE_PX + 1
 
 @dataclass
 class _RelEntry:
-    """One node's visible mask in one view, cropped to its bounding box.
+    """One node's visible mask in one view.
 
-    `hull` is what containment is tested against: the crop padded by
+    `hull` is what containment is tested against: the region's crop padded by
     CONTAIN_DILATE_PX + 1, hole-filled, then dilated CONTAIN_DILATE_PX
     times.  It is a pure function of the crop, built on first access and
     kept for the entry's life (one round).  _in_single_view asks for it only
     when a smaller node's crop meets this node's padded box.
     """
-    crop: np.ndarray
-    origin: tuple            # (row0, col0)
+    region: Region
     centroid: tuple
     area: int
 
     @property
     def hull_origin(self) -> tuple:
-        return (self.origin[0] - _HULL_PAD, self.origin[1] - _HULL_PAD)
+        r0, c0 = self.region.origin
+        return (r0 - _HULL_PAD, c0 - _HULL_PAD)
 
     @cached_property
     def hull(self) -> np.ndarray:
-        filled = ndimage.binary_fill_holes(np.pad(self.crop, _HULL_PAD))
+        filled = ndimage.binary_fill_holes(np.pad(self.region.crop, _HULL_PAD))
         return ndimage.binary_dilation(filled, iterations=CONTAIN_DILATE_PX)
-
-
-def _rel_entry(mask: np.ndarray, box: tuple, centroid: tuple,
-               area: int) -> Optional[_RelEntry]:
-    r0, r1, c0, c1 = box
-    sub = mask[r0:r1, c0:c1]
-    rows = np.flatnonzero(sub.any(axis=1))
-    if rows.size == 0:
-        return None
-    cols = np.flatnonzero(sub.any(axis=0))
-    tr0, tr1 = int(rows[0]), int(rows[-1]) + 1
-    tc0, tc1 = int(cols[0]), int(cols[-1]) + 1
-    return _RelEntry(crop=sub[tr0:tr1, tc0:tc1], origin=(r0 + tr0, c0 + tc0),
-                     centroid=centroid, area=area)
-
-
-def _overlap_count(mask_a, origin_a, mask_b, origin_b) -> int:
-    ar0, ac0 = origin_a
-    br0, bc0 = origin_b
-    r0, c0 = max(ar0, br0), max(ac0, bc0)
-    r1 = min(ar0 + mask_a.shape[0], br0 + mask_b.shape[0])
-    c1 = min(ac0 + mask_a.shape[1], bc0 + mask_b.shape[1])
-    if r0 >= r1 or c0 >= c1:
-        return 0
-    sub_a = mask_a[r0 - ar0:r1 - ar0, c0 - ac0:c1 - ac0]
-    sub_b = mask_b[r0 - br0:r1 - br0, c0 - bc0:c1 - bc0]
-    return int(np.count_nonzero(sub_a & sub_b))
 
 
 def _in_single_view(a: _RelEntry, b: _RelEntry) -> bool:
@@ -384,14 +343,12 @@ def _in_single_view(a: _RelEntry, b: _RelEntry) -> bool:
         return False
     # a's crop must meet b's padded hull box, or nothing is covered and
     # b's hull need not be built
-    ar0, ac0 = a.origin
-    hr0, hc0 = b.hull_origin
-    hr1 = b.origin[0] + b.crop.shape[0] + _HULL_PAD
-    hc1 = b.origin[1] + b.crop.shape[1] + _HULL_PAD
-    if not (ar0 < hr1 and hr0 < ar0 + a.crop.shape[0]
-            and ac0 < hc1 and hc0 < ac0 + a.crop.shape[1]):
+    ar0, ar1, ac0, ac1 = a.region.box
+    br0, br1, bc0, bc1 = b.region.box
+    if not (ar0 < br1 + _HULL_PAD and br0 - _HULL_PAD < ar1
+            and ac0 < bc1 + _HULL_PAD and bc0 - _HULL_PAD < ac1):
         return False
-    covered = _overlap_count(a.crop, a.origin, b.hull, b.hull_origin)
+    covered = a.region.overlap(b.hull, b.hull_origin)
     return covered / a.area >= CONTAIN_COVERAGE
 
 
@@ -401,8 +358,8 @@ def _on_single_view(a: _RelEntry, b: _RelEntry) -> bool:
     # boundary row contributes)
     if not a.centroid[1] < b.centroid[1]:
         return False
-    shifted_origin = (a.origin[0] + 1, a.origin[1])
-    contact = _overlap_count(a.crop, shifted_origin, b.crop, b.origin)
+    ar0, ac0 = a.region.origin
+    contact = b.region.overlap(a.region.crop, (ar0 + 1, ac0))
     return contact >= SUPPORT_CONTACT_PX
 
 
@@ -443,13 +400,9 @@ def induce_relations(entries: dict, image_diag: dict) -> set:
 def _entries_for(nodes: list, step: int) -> dict:
     out = {}
     for node in nodes:
-        per_view = {}
-        for view_id, g in node.groundings.items():
-            if g.seen_step != step:
-                continue
-            entry = _rel_entry(g.mask, g.box, g.centroid, g.area_px)
-            if entry is not None:
-                per_view[view_id] = entry
+        per_view = {view_id: _RelEntry(g.region, g.centroid, g.area_px)
+                    for view_id, g in node.groundings.items()
+                    if g.seen_step == step}
         if per_view:
             out[node.node_id] = per_view
     return out
@@ -458,18 +411,8 @@ def _entries_for(nodes: list, step: int) -> dict:
 # -- graph construction and update ----------------------------------------------
 
 
-def _mask_stats(mask: np.ndarray, box: tuple) -> tuple:
-    r0, r1, c0, c1 = box
-    rows, cols = np.nonzero(mask[r0:r1, c0:c1])
-    n = rows.size
-    # exact integer sums, so the division rounds once
-    centroid = ((int(cols.sum()) + c0 * n) / n + 0.5,
-                (int(rows.sum()) + r0 * n) / n + 0.5)
-    return centroid, int(n)
-
-
 def _grounding_from_detection(det: Detection, step: int) -> Grounding:
-    return Grounding(mask=det.mask, box=det.box, centroid=det.centroid,
+    return Grounding(region=det.region, centroid=det.centroid,
                      area_px=det.area_px, source_id=det.source_id,
                      seen_step=step)
 
@@ -477,22 +420,6 @@ def _grounding_from_detection(det: Detection, step: int) -> Grounding:
 def _image_diags(raw_obs) -> dict:
     return {v: math.hypot(*obs.image_size)
             for v, obs in raw_obs.views.items()}
-
-
-def _iou(mask_a: np.ndarray, box_a: tuple, mask_b: np.ndarray,
-         box_b: tuple) -> float:
-    """Mask IoU, counted inside the boxes (each holds all of its mask)."""
-    r0, r1 = max(box_a[0], box_b[0]), min(box_a[1], box_b[1])
-    c0, c1 = max(box_a[2], box_b[2]), min(box_a[3], box_b[3])
-    if r0 >= r1 or c0 >= c1:
-        return 0.0
-    inter = int(np.count_nonzero(mask_a[r0:r1, c0:c1] & mask_b[r0:r1, c0:c1]))
-    if inter == 0:
-        return 0.0
-    r0, r1 = min(box_a[0], box_b[0]), max(box_a[1], box_b[1])
-    c0, c1 = min(box_a[2], box_b[2]), max(box_a[3], box_b[3])
-    union = int(np.count_nonzero(mask_a[r0:r1, c0:c1] | mask_b[r0:r1, c0:c1]))
-    return inter / union
 
 
 def _rebuild_edges(graph: SemanticGraph, raw_obs, arm_class: str) -> None:
@@ -647,13 +574,12 @@ def update_graph(graph: SemanticGraph, raw_obs, task_spec: TaskSpec,
             merged.add((target, view_id))
 
     # tracker output stands in for the grounding when no detection merged
-    for (node_id, view_id), (mask, box) in tracked.items():
+    for (node_id, view_id), region in tracked.items():
         if (node_id, view_id) in merged:
             continue
-        centroid, area = _mask_stats(mask, box)
         node = graph.nodes[node_id]
         node.groundings[view_id] = Grounding(
-            mask=mask, box=box, centroid=centroid, area_px=area,
+            region=region, centroid=region.centroid, area_px=region.area,
             source_id=node.groundings[view_id].source_id, seen_step=step)
         node.last_seen_step = step
 
@@ -675,7 +601,7 @@ def _merge_target(graph: SemanticGraph, det: Detection, view_id: str,
         hit = tracked.get((node.node_id, view_id))
         if hit is None:
             continue
-        iou = _iou(det.mask, det.box, *hit)
+        iou = det.region.iou(hit)
         if iou > best_iou:
             best_iou, best_iou_node = iou, node.node_id
     if best_iou >= 0.5:

@@ -261,9 +261,9 @@ def run_episode(cfg: SceneConfig, seed: int, log_path=None,
     if program is None and cfg.planner != "mock_vlm_rgb":
         program = load_task_program(cfg.task, cfg.variant)
 
+    config = cfg.to_dict()
     header = {"kind": "header", "version": __version__,
-              "config": cfg.to_dict(),
-              "config_hash": config_hash(cfg.to_dict()),
+              "config": config, "config_hash": config_hash(config),
               "seed": seed, "task_instruction": task_spec.instruction}
     records = [header]
 
@@ -565,11 +565,9 @@ def replay_log(path) -> EpisodeResult:
     missing = [key for key in ("config", "seed") if key not in header]
     if missing:
         raise ConfigError(f"{path}: header has no {' or '.join(missing)}")
-    try:
-        seed = int(header["seed"])
-    except (TypeError, ValueError):
-        raise ConfigError(
-            f"{path}: header seed {header['seed']!r} is not an integer") from None
+    seed = header["seed"]
+    if type(seed) is not int:  # not int(): 3.7, "3" and true are no seeds
+        raise ConfigError(f"{path}: header seed {seed!r} is not an integer")
     cfg = SceneConfig.from_dict(header["config"])
     fresh = run_episode(cfg, seed)
     if len(fresh.records) != len(logged):

@@ -15,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import NoiseConfig
+from .region import Region
 from .rng import Rng, mix64
 
 FEATURE_DIM = 16
@@ -53,8 +54,7 @@ class Detection:
     view_id: str
     source_id: int  # simulator id behind the mask; used only for the gripper
     # mapping and by test oracles, never for cross-view matching
-    mask: np.ndarray  # full-frame bool
-    box: tuple  # (row0, row1, col0, col1), half-open; holds every mask pixel
+    region: Region
     centroid: tuple  # (col, row), pixel units
     area_px: int
     visible_fraction: float
@@ -136,8 +136,7 @@ def segment(raw_obs, noise: NoiseConfig, rng: Rng) -> dict:
             feature = perturbed_feature(rec.base_feature, noise.feature_sigma, rng)
             dets.append(Detection(
                 view_id=view_id, source_id=source_id,
-                mask=view.label_map == source_id, box=rec.box,
-                centroid=rec.centroid, area_px=rec.area_px,
+                region=rec.region, centroid=rec.centroid, area_px=rec.area_px,
                 visible_fraction=rec.visible_fraction,
                 class_name=class_name, attributes=attributes,
                 feature=feature, is_arm=(class_name == ARM_CLASS),
@@ -163,33 +162,16 @@ def identify_relevant(detections: dict, task_spec: TaskSpec) -> dict:
     return out
 
 
-def _shift_mask(mask: np.ndarray, box: tuple, dr: int, dc: int) -> tuple:
-    """Translate a boolean mask whose pixels all lie in `box`, clipping at
-    the frame edges; returns (mask, box) with the box moved and clipped the
-    same way (empty, row0 >= row1 or col0 >= col1, once it leaves the frame).
-    """
-    h, w = mask.shape
-    r0, r1, c0, c1 = box
-    r0, r1 = max(r0 + dr, 0), min(r1 + dr, h)
-    c0, c1 = max(c0 + dc, 0), min(c1 + dc, w)
-    out = np.zeros_like(mask)
-    if r0 < r1 and c0 < c1:
-        out[r0:r1, c0:c1] = mask[r0 - dr:r1 - dr, c0 - dc:c1 - dc]
-    return out, (r0, r1, c0, c1)
-
-
 def track(nodes: list, raw_obs, noise: NoiseConfig, rng: Rng,
           steps_elapsed: int) -> dict:
     """Oracle tracker with configurable degradation.
 
-    For each (node, view) grounding the mask is re-rendered from the current
-    frame (by the grounding's source id) and translated by a random drift of
+    For each (node, view) grounding the mask is the current frame's region
+    for the grounding's source id, translated by a random drift of
     magnitude at most tracker_drift_px_per_step * steps_elapsed.  With
     tracker_loss_p the propagated mask is dropped instead.  Returns
-    {(node_id, view_id): (mask, box)}: the full-frame mask and the source's
-    tight box shifted by the same drift and clipped to the frame, so the box
-    holds every mask pixel but need not be tight after a drift.  Absent keys
-    mean the tracker lost the object in that view.
+    {(node_id, view_id): Region}; absent keys mean the tracker lost the
+    object in that view.
     """
     out = {}
     for node in sorted(nodes, key=lambda n: n.node_id):
@@ -203,15 +185,14 @@ def track(nodes: list, raw_obs, noise: NoiseConfig, rng: Rng,
                 continue  # no visible pixels in this frame
             if noise.tracker_loss_p > 0.0 and rng.random() < noise.tracker_loss_p:
                 continue
-            mask, box = view.label_map == source_id, rec.box
+            region = rec.region
             if noise.tracker_drift_px_per_step > 0.0:
                 mag = noise.tracker_drift_px_per_step * steps_elapsed * rng.random()
                 angle = rng.uniform(0.0, 2.0 * math.pi)
                 dr = int(round(mag * math.sin(angle)))
                 dc = int(round(mag * math.cos(angle)))
-                mask, box = _shift_mask(mask, box, dr, dc)
-                r0, r1, c0, c1 = box
-                if r0 >= r1 or c0 >= c1 or not mask[r0:r1, c0:c1].any():
+                region = region.shifted(dr, dc)
+                if region is None:
                     continue  # drifted off the frame
-            out[(node.node_id, view_id)] = (mask, box)
+            out[(node.node_id, view_id)] = region
     return out

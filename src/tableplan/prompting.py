@@ -58,8 +58,8 @@ def _retention(graph: SemanticGraph, relevant_ids, view_id: str,
         grounding = node.groundings.get(view_id)
         if grounding is None:
             continue
-        out |= grounding.mask
-        r0, r1, c0, c1 = grounding.box
+        r0, r1, c0, c1 = grounding.region.box
+        out[r0:r1, c0:c1] |= grounding.region.crop
         if box is not None:
             r0, r1 = min(r0, box[0]), max(r1, box[1])
             c0, c1 = min(c0, box[2]), max(c1, box[3])

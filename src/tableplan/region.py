@@ -1,0 +1,111 @@
+"""Box-local object masks.
+
+A Region is one object's visible mask in one view, stored as a bool `crop`
+placed at `origin` = (row0, col0) in a frame of shape `frame` = (H, W).  The
+crop is tight -- its first and last rows and columns each hold a pixel -- so
+box = (row0, row1, col0, col1), half-open, is the mask's bounding box, and an
+empty mask has no Region: the constructors return None for it.  The crop is
+read-only because one Region is shared by a view record, its detection, the
+groundings made from it and the tracker.  Every piece of per-object mask work
+(area, centroid, overlaps, IoU, shifting, RLE) runs inside the box, never
+over the whole frame.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
+
+
+@dataclass(frozen=True, eq=False)
+class Region:
+    origin: tuple     # (row0, col0) of the crop in the frame
+    crop: np.ndarray
+    frame: tuple      # (H, W)
+    area: int
+    centroid: tuple   # (col, row) of the pixel centres
+
+    @classmethod
+    def from_sub(cls, sub: np.ndarray, origin: tuple,
+                 frame: tuple) -> Optional["Region"]:
+        """The region of the pixels of `sub`, a bool array placed at
+        `origin` inside the frame; None when `sub` holds no pixel."""
+        rows, cols = np.nonzero(sub)
+        n = rows.size
+        if n == 0:
+            return None
+        r0, r1 = int(rows[0]), int(rows[-1]) + 1
+        c0, c1 = int(cols.min()), int(cols.max()) + 1
+        crop = sub[r0:r1, c0:c1].copy()
+        crop.setflags(write=False)
+        # exact integer sums, so the division rounds once
+        centroid = ((int(cols.sum()) + origin[1] * n) / n + 0.5,
+                    (int(rows.sum()) + origin[0] * n) / n + 0.5)
+        return cls((origin[0] + r0, origin[1] + c0), crop, frame, n, centroid)
+
+    @classmethod
+    def from_full(cls, mask: np.ndarray) -> Optional["Region"]:
+        """The region of a full-frame bool mask, by a whole-frame scan."""
+        return cls.from_sub(mask, (0, 0), mask.shape)
+
+    @property
+    def box(self) -> tuple:
+        r0, c0 = self.origin
+        return (r0, r0 + self.crop.shape[0], c0, c0 + self.crop.shape[1])
+
+    def overlap(self, crop: np.ndarray, origin: tuple) -> int:
+        """Pixels of this region that fall on the pixels of `crop`, a bool
+        array placed at `origin` (it may reach past the frame)."""
+        ar0, ac0 = self.origin
+        br0, bc0 = origin
+        r0, c0 = max(ar0, br0), max(ac0, bc0)
+        r1 = min(ar0 + self.crop.shape[0], br0 + crop.shape[0])
+        c1 = min(ac0 + self.crop.shape[1], bc0 + crop.shape[1])
+        if r0 >= r1 or c0 >= c1:
+            return 0
+        sub_a = self.crop[r0 - ar0:r1 - ar0, c0 - ac0:c1 - ac0]
+        sub_b = crop[r0 - br0:r1 - br0, c0 - bc0:c1 - bc0]
+        return int(np.count_nonzero(sub_a & sub_b))
+
+    def iou(self, other: "Region") -> float:
+        inter = self.overlap(other.crop, other.origin)
+        if inter == 0:
+            return 0.0
+        return inter / (self.area + other.area - inter)
+
+    def shifted(self, dr: int, dc: int) -> Optional["Region"]:
+        """The region moved by (dr, dc) pixels and clipped to the frame;
+        None once no pixel is left on it."""
+        h, w = self.frame
+        r0, r1, c0, c1 = self.box
+        nr0, nr1 = max(r0 + dr, 0), min(r1 + dr, h)
+        nc0, nc1 = max(c0 + dc, 0), min(c1 + dc, w)
+        if nr0 >= nr1 or nc0 >= nc1:
+            return None
+        sub = self.crop[nr0 - dr - r0:nr1 - dr - r0,
+                        nc0 - dc - c0:nc1 - dc - c0]
+        return Region.from_sub(sub, (nr0, nc0), self.frame)
+
+    def rle(self) -> list:
+        """Row-major run lengths of the full-frame mask, starting with a
+        zero-run (possibly length 0).  Only the region's rows are scanned;
+        the rows above and below are the leading and trailing zero runs."""
+        h, w = self.frame
+        r0, r1, c0, c1 = self.box
+        band = np.zeros((r1 - r0, w), dtype=bool)
+        band[:, c0:c1] = self.crop
+        flat = band.ravel()
+        changes = np.flatnonzero(flat[1:] != flat[:-1]) + 1
+        bounds = np.concatenate(([0], changes, [flat.size]))
+        runs = np.diff(bounds).tolist()
+        if flat[0]:
+            runs.insert(0, 0)
+        runs[0] += r0 * w
+        if r1 < h:
+            if flat[-1]:
+                runs.append((h - r1) * w)
+            else:
+                runs[-1] += (h - r1) * w
+        return runs

@@ -9,10 +9,6 @@ plane and cross-view distance ratios are preserved exactly.
 
 Occlusion is painted back to front by (z_layer, id); objects inside an
 opaque container render nothing.
-
-Every visible object's record carries a box = (row0, row1, col0, col1),
-half-open, that holds every pixel of its visible mask; per-object work
-downstream (masks, statistics, RLE, overlap tests) stays inside that box.
 """
 
 from __future__ import annotations
@@ -24,6 +20,7 @@ import numpy as np
 
 from .config import CameraConfig
 from .perception import base_feature
+from .region import Region
 from .world import WorldState, hidden_inside_opaque
 
 
@@ -101,8 +98,7 @@ class ViewRecord:
     base_feature: np.ndarray
     centroid: tuple  # (col, row) of the visible mask
     area_px: int  # visible pixels
-    box: tuple  # (row0, row1, col0, col1), half-open, tight around the
-    # visible mask: its first and last rows and columns each hold a pixel
+    region: Region  # the visible mask
     full_px: int  # unoccluded, unclipped footprint pixels
     visible_fraction: float
 
@@ -129,8 +125,8 @@ class Renderer:
     The cache key is (object id, pose, view); within an episode only the
     one or two objects a chunk moved get re-rasterized.  An object's visible
     pixels all lie in the frame-clipped box it was painted into (later paints
-    only overwrite), so its record -- area, centroid, tight box -- is computed
-    from that box alone, never from a whole-frame pass.
+    only overwrite), so its record is computed from that box alone, never
+    from a whole-frame pass.
     """
 
     def __init__(self, cameras, lift_m: float):
@@ -188,27 +184,19 @@ class Renderer:
             if oid not in boxes:
                 continue
             r0, r1, c0, c1 = boxes[oid]
-            sub = label[r0:r1, c0:c1] == oid
-            per_row = sub.sum(axis=1)
-            n = int(per_row.sum())
-            if n == 0:
+            region = Region.from_sub(label[r0:r1, c0:c1] == oid, (r0, c0),
+                                     label.shape)
+            if region is None:
                 continue
-            per_col = sub.sum(axis=0)
-            # exact integer sums, so the division rounds once
-            row_sum = int(per_row @ np.arange(r0, r1))
-            col_sum = int(per_col @ np.arange(c0, c1))
-            rows = np.flatnonzero(per_row)
-            cols = np.flatnonzero(per_col)
-            box = (r0 + int(rows[0]), r0 + int(rows[-1]) + 1,
-                   c0 + int(cols[0]), c0 + int(cols[-1]) + 1)
+            n = region.area
             full = max(full_px.get(oid, n), 1)
             records[oid] = ViewRecord(
                 object_id=oid, class_name=obj.class_name,
                 attributes=dict(obj.attributes),
                 appearance_seed=obj.appearance_seed,
                 base_feature=base_feature(obj.appearance_seed),
-                centroid=(col_sum / n + 0.5, row_sum / n + 0.5),
-                area_px=n, box=box, full_px=full,
+                centroid=region.centroid, area_px=n, region=region,
+                full_px=full,
                 visible_fraction=n / full,
             )
         return records

@@ -12,39 +12,25 @@ import json
 
 import numpy as np
 
-from .graph import GraphNode, Grounding, SemanticGraph, mask_box
+from .graph import GraphNode, Grounding, SemanticGraph
+from .region import Region
 
 
 def fmt_float(x) -> str:
     return "%.9g" % float(x)
 
 
-def rle_encode(mask: np.ndarray, box: tuple | None = None) -> list:
-    """Row-major run lengths, starting with a zero-run (possibly length 0).
-
-    With a box (row0, row1, col0, col1) that holds every pixel of the mask,
-    only rows row0..row1-1 are scanned; the rows above and below are the
-    leading and trailing zero runs.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    if mask.size == 0:
+def rle_encode(mask: np.ndarray) -> list:
+    """Row-major run lengths, starting with a zero-run (possibly length 0),
+    by a whole-frame scan; snapshots use the box-local Region.rle."""
+    flat = np.asarray(mask, dtype=bool).ravel()
+    if flat.size == 0:
         return []
-    h, w = mask.shape
-    r0, r1 = (0, h) if box is None else (box[0], box[1])
-    if r0 >= r1:
-        return [h * w]
-    flat = mask[r0:r1].ravel()
     changes = np.flatnonzero(flat[1:] != flat[:-1]) + 1
     bounds = np.concatenate(([0], changes, [flat.size]))
     runs = np.diff(bounds).tolist()
     if flat[0]:
         runs.insert(0, 0)
-    runs[0] += r0 * w
-    if r1 < h:
-        if flat[-1]:
-            runs.append((h - r1) * w)
-        else:
-            runs[-1] += (h - r1) * w
     return runs
 
 
@@ -106,8 +92,8 @@ def graph_to_snapshot(graph: SemanticGraph) -> dict:
         for view_id in sorted(node.groundings):
             g = node.groundings[view_id]
             groundings[view_id] = {
-                "rle": rle_encode(g.mask, g.box),
-                "size": [int(g.mask.shape[0]), int(g.mask.shape[1])],
+                "rle": g.region.rle(),
+                "size": list(g.region.frame),
                 "centroid": [fmt_float(g.centroid[0]), fmt_float(g.centroid[1])],
                 "area": int(g.area_px),
                 "source": int(g.source_id),
@@ -141,9 +127,12 @@ def graph_from_snapshot(snapshot: dict) -> SemanticGraph:
     for rec in snapshot["nodes"]:
         groundings = {}
         for view_id, g in rec["groundings"].items():
-            mask = rle_decode(g["rle"], tuple(g["size"]))
+            region = Region.from_full(rle_decode(g["rle"], tuple(g["size"])))
+            if region is None:
+                raise ValueError(f"node {rec['id']} has an empty mask "
+                                 f"in view {view_id}")
             groundings[view_id] = Grounding(
-                mask=mask, box=mask_box(mask),
+                region=region,
                 centroid=(float(g["centroid"][0]), float(g["centroid"][1])),
                 area_px=int(g["area"]), source_id=int(g["source"]),
                 seen_step=int(g["seen_step"]))

@@ -61,6 +61,14 @@ def graph_and_drifted_tracks(cfg, raw, seed: int):
     return graph, tracked
 
 
+def full_mask(region) -> np.ndarray:
+    """The full-frame bool mask a Region stands for."""
+    mask = np.zeros(region.frame, dtype=bool)
+    r0, r1, c0, c1 = region.box
+    mask[r0:r1, c0:c1] = region.crop
+    return mask
+
+
 def full_frame_box(mask: np.ndarray):
     """Tight (row0, row1, col0, col1) box by a whole-frame scan, or None."""
     rows, cols = np.nonzero(mask)

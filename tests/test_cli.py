@@ -130,8 +130,13 @@ def _edit_header(change):
     (_edit_header(lambda h: h.pop("config")), "header has no config"),
     (_edit_header(lambda h: h.pop("seed")), "header has no seed"),
     (_edit_header(lambda h: h.update(seed="abc")), "is not an integer"),
+    (_edit_header(lambda h: h.update(seed=3.7)), "is not an integer"),
+    (_edit_header(lambda h: h.update(seed="3")), "is not an integer"),
+    (_edit_header(lambda h: h.update(seed=True)), "is not an integer"),
 ], ids=["truncated_line", "non_object_line", "header_without_config",
-        "header_without_seed", "header_with_non_integer_seed"])
+        "header_without_seed", "header_with_non_integer_seed",
+        "header_with_float_seed", "header_with_string_seed",
+        "header_with_bool_seed"])
 def test_replay_malformed_log(good_log_lines, tmp_path, capsys, edit, message):
     log = tmp_path / "bad.jsonl"
     log.write_text("\n".join(edit(list(good_log_lines))) + "\n")

@@ -6,7 +6,8 @@ import pytest
 from scipy import ndimage
 
 from oracles import HAND_ANCHORS, HAND_POINT, HAND_SIGNATURE
-from scenes import full_frame_box, graph_and_drifted_tracks, scattered_scenes
+from scenes import (full_frame_box, full_mask, graph_and_drifted_tracks,
+                    scattered_scenes)
 from tableplan.config import AssocThresholds, NoiseConfig, SceneConfig
 from tableplan.graph import (CONTAIN_COVERAGE, CONTAIN_DILATE_PX,
                              NEAR_FRACTION, SUPPORT_CONTACT_PX,
@@ -15,9 +16,9 @@ from tableplan.graph import (CONTAIN_COVERAGE, CONTAIN_DILATE_PX,
                              associate_geometric, associate_semantic,
                              distance_signature, induce_relations,
                              init_graph, node_by_source, signature_distance,
-                             update_graph, Grounding, _iou, _mask_stats,
-                             _rel_entry, mask_box)
+                             update_graph, Grounding, _RelEntry)
 from tableplan.perception import Detection, base_feature, make_task_spec
+from tableplan.region import Region
 from tableplan.render import render_views
 from tableplan.rng import Rng
 from tableplan.world import (Primitive, apply_primitive,
@@ -44,8 +45,8 @@ def fake_det(view, source, feature, centroid=(5.0, 5.0), cls="cube"):
     mask = np.zeros((20, 20), dtype=bool)
     r, c = int(centroid[1]), int(centroid[0])
     mask[r - 1:r + 2, c - 1:c + 2] = True
-    return Detection(view_id=view, source_id=source, mask=mask,
-                     box=mask_box(mask), centroid=centroid, area_px=9,
+    return Detection(view_id=view, source_id=source,
+                     region=Region.from_full(mask), centroid=centroid, area_px=9,
                      visible_fraction=1.0, class_name=cls, attributes={},
                      feature=feature)
 
@@ -179,7 +180,7 @@ def test_associate_identity_on_clean_scenes():
 def entry_from(mask):
     rows, cols = np.nonzero(mask)
     centroid = (cols.mean() + 0.5, rows.mean() + 0.5)
-    return _rel_entry(mask, mask_box(mask), centroid, int(mask.sum()))
+    return _RelEntry(Region.from_full(mask), centroid, int(mask.sum()))
 
 
 def test_induce_containment_and_near():
@@ -546,7 +547,7 @@ def test_unique_parent_filter():
     g = SemanticGraph(step=0)
     for i, mask in ((1, inner), (2, ring), (3, big_ring)):
         rows, cols = np.nonzero(mask)
-        grounding = Grounding(mask=mask, box=mask_box(mask),
+        grounding = Grounding(region=Region.from_full(mask),
                               centroid=(cols.mean() + .5, rows.mean() + .5),
                               area_px=int(mask.sum()), source_id=i,
                               seen_step=0)
@@ -575,8 +576,9 @@ def test_update_merges_by_feature_after_tracker_loss():
 
 
 def test_box_local_mask_work_matches_full_frame():
-    # _iou, _rel_entry and _mask_stats against whole-frame references, on
-    # detection masks and on tracker masks drifted partly off the frame
+    # Region.iou, tightness, centroid and area against whole-frame
+    # references, on detection masks and on tracker masks drifted partly off
+    # the frame
 
     def iou_ref(a, b):
         inter = np.count_nonzero(a & b)
@@ -585,26 +587,26 @@ def test_box_local_mask_work_matches_full_frame():
     seen = {"overlap": 0, "disjoint": 0, "off_frame": 0}
     for k, (cfg, world, raw) in enumerate(scattered_scenes(200, seed=99)):
         graph, tracked = graph_and_drifted_tracks(cfg, raw, k)
-        for (node_id, view_id), (mask, box) in tracked.items():
+        for (node_id, view_id), region in tracked.items():
             source = graph.nodes[node_id].groundings[view_id].source_id
             area = raw.views[view_id].records[source].area_px
-            seen["off_frame"] += int(mask.sum()) < area
-            rows, cols = np.nonzero(mask)
-            assert _mask_stats(mask, box) == (
+            seen["off_frame"] += region.area < area
+            rows, cols = np.nonzero(full_mask(region))
+            assert (region.centroid, region.area) == (
                 (cols.mean() + 0.5, rows.mean() + 0.5), rows.size)
-        masks = [(v, g.mask, g.box) for n in graph.sorted_nodes()
-                 for v, g in n.groundings.items()]
-        masks += [(v, m, b) for (_, v), (m, b) in tracked.items()]
-        for view_id, mask, box in masks:
-            entry = _rel_entry(mask, box, (0.0, 0.0), 1)
+        regions = [(v, g.region) for n in graph.sorted_nodes()
+                   for v, g in n.groundings.items()]
+        regions += [(v, r) for (_, v), r in tracked.items()]
+        for view_id, region in regions:
+            mask = full_mask(region)
             tight = full_frame_box(mask)
-            assert entry.origin == (tight[0], tight[2])
-            assert np.array_equal(entry.crop,
+            assert region.box == tight
+            assert np.array_equal(region.crop,
                                   mask[tight[0]:tight[1], tight[2]:tight[3]])
-            for other_view, other, other_box in masks:
+            for other_view, other in regions:
                 if other_view != view_id:
                     continue
-                got = _iou(mask, box, other, other_box)
-                assert got == iou_ref(mask, other)
+                got = region.iou(other)
+                assert got == iou_ref(mask, full_mask(other))
                 seen["overlap" if got else "disjoint"] += 1
     assert min(seen.values()) > 0, seen

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from scenes import full_mask
 from tableplan.config import NoiseConfig, SceneConfig
 from tableplan.perception import (FEATURE_DIM, base_feature, cosine_distance,
                                   identify_relevant, make_task_spec,
@@ -82,7 +83,11 @@ def test_segment_noise_free():
         recs = raw.views[view_id].records
         assert [d.source_id for d in view_dets] == sorted(recs)
         for d in view_dets:
-            assert d.area_px == int(d.mask.sum())
+            assert d.region is recs[d.source_id].region
+            mask = full_mask(d.region)
+            assert np.array_equal(
+                mask, raw.views[view_id].label_map == d.source_id)
+            assert d.area_px == int(mask.sum())
             assert d.feature is base_feature(
                 world.get(d.source_id).appearance_seed)
             assert d.is_arm == (d.class_name == "arm")
@@ -156,7 +161,7 @@ def test_track_noise_free_reproduces_masks():
                 Rng.substream(0, "t"), steps_elapsed=1)
     for node in g.sorted_nodes():
         for view_id, grounding in node.groundings.items():
-            mask, _ = out[(node.node_id, view_id)]
+            mask = full_mask(out[(node.node_id, view_id)])
             fresh = raw.views[view_id].label_map == grounding.source_id
             assert np.array_equal(mask, fresh)
 
@@ -177,7 +182,7 @@ def test_track_drift_bounded():
         for view_id, grounding in node.groundings.items():
             if (node.node_id, view_id) not in out:
                 continue  # drifted fully out of frame
-            mask, _ = out[(node.node_id, view_id)]
+            mask = full_mask(out[(node.node_id, view_id)])
             fresh = raw.views[view_id].label_map == grounding.source_id
             rows, cols = np.nonzero(mask)
             frows, fcols = np.nonzero(fresh)

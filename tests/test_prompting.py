@@ -11,7 +11,7 @@ from tableplan.render import render_views
 from tableplan.rng import Rng
 from tableplan.world import DISTRACTOR_CLASSES, init_world
 
-from scenes import graph_and_drifted_tracks, scattered_scenes
+from scenes import full_mask, graph_and_drifted_tracks, scattered_scenes
 
 
 def scene(task="swap_cups", seed=0, **kw):
@@ -131,10 +131,9 @@ def test_box_local_masking_matches_full_frame():
     rng = np.random.default_rng(4242)
     for k, (cfg, world, raw) in enumerate(scattered_scenes(200, seed=31)):
         g, tracked = graph_and_drifted_tracks(cfg, raw, k)
-        for (node_id, view_id), (mask, box) in tracked.items():
+        for (node_id, view_id), region in tracked.items():
             if rng.random() < 0.5:
-                grounding = g.nodes[node_id].groundings[view_id]
-                grounding.mask, grounding.box = mask, box
+                g.nodes[node_id].groundings[view_id].region = region
         ids = [n.node_id for n in g.sorted_nodes()]
         keep = [i for i in ids if rng.random() < 0.4]
         masked = clutter_free_obs(raw, g, keep, "cue")
@@ -144,7 +143,7 @@ def test_box_local_masking_matches_full_frame():
             retained = np.zeros(label.shape, dtype=bool)
             for i in keep:
                 if view_id in g.nodes[i].groundings:
-                    retained |= g.nodes[i].groundings[view_id].mask
+                    retained |= full_mask(g.nodes[i].groundings[view_id].region)
             labels, mask = masked.views[view_id]
             assert np.array_equal(mask, retained)
             assert np.array_equal(labels, np.where(retained, label, BACKGROUND))

@@ -8,7 +8,7 @@ from tableplan.render import (CameraSpec, Renderer, rasterize_polygon,
                               render_views)
 from tableplan.world import Primitive, apply_primitive, init_world
 
-from scenes import full_frame_box, scattered_scenes, touches_edge
+from scenes import full_frame_box, full_mask, scattered_scenes, touches_edge
 
 
 def scene(task="swap_cups", seed=0, **kw):
@@ -163,8 +163,8 @@ def test_occlusion_paint_order():
 
 
 def test_box_local_records_match_full_frame():
-    # area, centroid and box of every record against whole-frame scans of the
-    # label map, over scenes with clipped, occluded and edge-row objects
+    # area, centroid and region of every record against whole-frame scans of
+    # the label map, over scenes with clipped, occluded and edge-row objects
     seen = {"clipped": 0, "occluded": 0, "first_row": 0, "last_row": 0}
     for cfg, world, raw in scattered_scenes(200, seed=20261018):
         for view in raw.views.values():
@@ -177,11 +177,13 @@ def test_box_local_records_match_full_frame():
                 assert rec.area_px == rows.size
                 # exact: both sides divide the same integer sum once
                 assert rec.centroid == (cols.mean() + 0.5, rows.mean() + 0.5)
-                assert rec.box == full_frame_box(mask)
-                if touches_edge(rec.box, (h, w)) and rec.visible_fraction < 1:
+                box = rec.region.box
+                assert box == full_frame_box(mask)
+                assert np.array_equal(full_mask(rec.region), mask)
+                if touches_edge(box, (h, w)) and rec.visible_fraction < 1:
                     seen["clipped"] += 1
                 elif rec.visible_fraction < 1:
                     seen["occluded"] += 1
-                seen["first_row"] += rec.box[0] == 0
-                seen["last_row"] += rec.box[1] == h
+                seen["first_row"] += box[0] == 0
+                seen["last_row"] += box[1] == h
     assert min(seen.values()) > 0, seen

@@ -5,6 +5,7 @@ from tableplan.config import SceneConfig
 from tableplan.dsl import evaluate_policy, load_program
 from tableplan.graph import init_graph, update_graph
 from tableplan.perception import make_task_spec
+from tableplan.region import Region
 from tableplan.render import render_views
 from tableplan.rng import Rng
 from tableplan.serialize import (canonical_json, config_hash, fmt_float,
@@ -12,7 +13,7 @@ from tableplan.serialize import (canonical_json, config_hash, fmt_float,
                                  rle_decode, rle_encode)
 from tableplan.world import Primitive, apply_primitive, init_world
 
-from scenes import graph_and_drifted_tracks, scattered_scenes
+from scenes import full_mask, graph_and_drifted_tracks, scattered_scenes
 from test_dsl import PLANS
 
 
@@ -112,7 +113,7 @@ def test_graph_snapshot_round_trip():
         assert set(other.groundings) == set(node.groundings)
         for view, gr in node.groundings.items():
             gr2 = other.groundings[view]
-            assert np.array_equal(gr2.mask, gr.mask)
+            assert np.array_equal(full_mask(gr2.region), full_mask(gr.region))
             assert gr2.area_px == gr.area_px
             assert gr2.source_id == gr.source_id
             assert gr2.seen_step == gr.seen_step
@@ -143,29 +144,25 @@ def test_snapshot_deterministic_bytes():
 
 
 def test_rle_encode_in_box_matches_full_frame():
-    # detection masks (tight boxes) and drifted tracker masks (loose boxes,
-    # partly off the frame) from scattered scenes, plus small hand masks
+    # detection regions and drifted tracker regions (partly off the frame)
+    # from scattered scenes, plus small hand masks, against the whole-frame
+    # encoder
     cases = []
     for k, (cfg, world, raw) in enumerate(scattered_scenes(200, seed=5150)):
         graph, tracked = graph_and_drifted_tracks(cfg, raw, k)
         for node in graph.sorted_nodes():
-            cases += [(g.mask, g.box) for g in node.groundings.values()]
+            cases += [g.region for g in node.groundings.values()]
         cases += list(tracked.values())
     rng = np.random.default_rng(77)
     for _ in range(300):
         h, w = int(rng.integers(1, 8)), int(rng.integers(1, 8))
-        mask = rng.random((h, w)) < rng.choice([0.0, 0.3, 1.0])
-        rows = np.flatnonzero(mask.any(axis=1))
-        if rows.size:  # any box of whole rows around the mask's rows
-            box = (int(rng.integers(0, rows[0] + 1)),
-                   int(rng.integers(rows[-1] + 1, h + 1)), 0, w)
-        else:
-            r = int(rng.integers(0, h + 1))
-            box = (r, r, 0, 0)
-        cases.append((mask, box))
+        region = Region.from_full(rng.random((h, w)) < rng.choice([0.0, 0.3, 1.0]))
+        if region is not None:
+            cases.append(region)
     edge_rows = 0
-    for mask, box in cases:
-        runs = rle_encode(mask, box)
+    for region in cases:
+        mask = full_mask(region)
+        runs = region.rle()
         assert runs == rle_encode(mask)
         assert np.array_equal(rle_decode(runs, mask.shape), mask)
         edge_rows += bool(mask[0].any() or mask[-1].any())
