@@ -208,7 +208,7 @@ class PlannerProgram:
     name: str
     bindings: tuple          # ((var, query-expr), ...)
     plan: tuple              # builder items
-    step_index: dict         # template step_id -> (Step, enclosing for-each var)
+    step_index: dict         # template step_id -> Step
     single_vars: frozenset   # vars that must resolve to exactly one node
 
 
@@ -265,7 +265,7 @@ class _Compiler:
     def builder(self, sx, scope: list):
         head = _head(sx)
         if head == "step":
-            return self.step(sx, scope, foreach_var=None)
+            return self.step(sx, scope)
         if head == "if":
             if len(sx[1]) != 4:
                 raise ArityError("if takes a predicate and two branches",
@@ -288,12 +288,11 @@ class _Compiler:
             query = self.query(sx[1][2], scope)
             self.all_vars.add(var)
             inner = scope + [var]
-            body = tuple(self.step(s, inner, foreach_var=var)
-                         for s in sx[1][3:])
+            body = tuple(self.step(s, inner) for s in sx[1][3:])
             return ForEach(var, query, body)
         raise UnknownForm(f"unknown plan form {head!r}", *_pos(sx))
 
-    def step(self, sx, scope: list, foreach_var) -> Step:
+    def step(self, sx, scope: list) -> Step:
         if not _is_form(sx, "step"):
             raise ParseError("expected (step ...)", *_pos(sx))
         items = sx[1]
@@ -313,7 +312,7 @@ class _Compiler:
                 f"the final action of step {step_id!r} must be guarded by "
                 "(true)", *_pos(items[-1]))
         step = Step(step_id=step_id, goal=goal, actions=actions)
-        self.step_ids[step_id] = (step, foreach_var)
+        self.step_ids[step_id] = step
         return step
 
     def action(self, sx, scope: list) -> Action:
@@ -605,12 +604,12 @@ def _restore(program: PlannerProgram, graph) -> list:
         if "@" in sid:
             tpl_id, _, inst = sid.partition("@")
             var, _, nid = inst.partition("=")
-            step, _ = program.step_index[tpl_id]
+            step = program.step_index[tpl_id]
             inst_env = dict(env)
             inst_env[var] = int(nid)
             steps.append((sid, step, inst_env))
         else:
-            step, _ = program.step_index[sid]
+            step = program.step_index[sid]
             steps.append((sid, step, env))
     return steps
 

@@ -20,22 +20,19 @@ current frame only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace as dc_replace
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import ndimage
 
 from .config import AssocThresholds, NoiseConfig
 from .perception import (Detection, TaskSpec, cosine_distance,
                          identify_relevant, segment, track)
-from .region import Region
+from .region import HULL_PAD, Region
 from .rng import Rng
 
 NEAR_FRACTION = 0.12   # of the image diagonal
 CONTAIN_COVERAGE = 0.85
-CONTAIN_DILATE_PX = 2
 SUPPORT_CONTACT_PX = 5
 
 
@@ -46,8 +43,6 @@ class NoAnchors(Exception):
 @dataclass
 class Grounding:
     region: Region
-    centroid: tuple           # (col, row) pixel centres
-    area_px: int
     source_id: int
     seen_step: int            # last step this grounding was confirmed
 
@@ -148,9 +143,6 @@ class SemanticGraph:
                 return dst
         return None
 
-    def holding(self) -> Optional[int]:
-        return self.held_node
-
     def relation_holds(self, a: int, b: int, rel: str) -> bool:
         if rel == "near":
             return (min(a, b), max(a, b), "near") in self.edges
@@ -214,18 +206,19 @@ def signature_distance(sig_a: np.ndarray, sig_b: np.ndarray,
     return math.sqrt(float(np.dot(diff, diff)) * (total / shared))
 
 
-def associate_geometric(dets_a: list, dets_b: list, anchors_a: list,
+def associate_geometric(points_a: list, points_b: list, anchors_a: list,
                         anchors_b: list, anchor_ids_a: list, anchor_ids_b: list,
                         total_anchors: int, tau_geo: float,
                         margin_geo: float) -> list:
     """Match leftover detections by signature; returns index pairs (i, j).
 
+    points_a/points_b are the leftover detections' centroids in each view.
     anchors_a/anchors_b are the anchor centroids present in each view, with
     anchor_ids naming them so the comparison runs over the intersection.
     Accepts mutual nearest neighbours with distance < tau_geo whose
     second-best alternative is at least margin_geo worse on both sides.
     """
-    if not dets_a or not dets_b:
+    if not points_a or not points_b:
         return []
     if not anchors_a or not anchors_b:
         raise NoAnchors("geometric association needs anchors in both views")
@@ -234,8 +227,8 @@ def associate_geometric(dets_a: list, dets_b: list, anchors_a: list,
         return []
     idx_a = [anchor_ids_a.index(i) for i in shared_ids]
     idx_b = [anchor_ids_b.index(i) for i in shared_ids]
-    sigs_a = [distance_signature(d.centroid, anchors_a)[idx_a] for d in dets_a]
-    sigs_b = [distance_signature(d.centroid, anchors_b)[idx_b] for d in dets_b]
+    sigs_a = [distance_signature(p, anchors_a)[idx_a] for p in points_a]
+    sigs_b = [distance_signature(p, anchors_b)[idx_b] for p in points_b]
     n_shared = len(shared_ids)
     cost = np.array([[signature_distance(sa, sb, n_shared, total_anchors)
                       for sb in sigs_b] for sa in sigs_a])
@@ -278,8 +271,10 @@ def associate(dets_by_view: dict, thresholds: AssocThresholds,
     matched_b = {j for _, j in sem}
     pairs = [(dets_a[i], dets_b[j]) for i, j in sem]
 
-    anchors_a = [(("sem", k), p[0].centroid) for k, p in enumerate(pairs)]
-    anchors_b = [(("sem", k), p[1].centroid) for k, p in enumerate(pairs)]
+    anchors_a = [(("sem", k), a.region.centroid)
+                 for k, (a, _) in enumerate(pairs)]
+    anchors_b = [(("sem", k), b.region.centroid)
+                 for k, (_, b) in enumerate(pairs)]
     if node_anchors:
         anchors_a += [(("node", nid), c) for nid, c in node_anchors.get(va, [])]
         anchors_b += [(("node", nid), c) for nid, c in node_anchors.get(vb, [])]
@@ -292,7 +287,8 @@ def associate(dets_by_view: dict, thresholds: AssocThresholds,
     if left_a and left_b:
         if anchors_a and anchors_b:
             geo = associate_geometric(
-                left_a, left_b,
+                [d.region.centroid for d in left_a],
+                [d.region.centroid for d in left_b],
                 [c for _, c in anchors_a], [c for _, c in anchors_b],
                 [i for i, _ in anchors_a], [i for i, _ in anchors_b],
                 len(all_ids), thresholds.tau_geo, thresholds.margin_geo)
@@ -310,79 +306,51 @@ def associate(dets_by_view: dict, thresholds: AssocThresholds,
 # -- relation induction --------------------------------------------------------
 
 
-_HULL_PAD = CONTAIN_DILATE_PX + 1
-
-
-@dataclass
-class _RelEntry:
-    """One node's visible mask in one view.
-
-    `hull` is what containment is tested against: the region's crop padded by
-    CONTAIN_DILATE_PX + 1, hole-filled, then dilated CONTAIN_DILATE_PX
-    times.  It is a pure function of the crop, built on first access and
-    kept for the entry's life (one round).  _in_single_view asks for it only
-    when a smaller node's crop meets this node's padded box.
-    """
-    region: Region
-    centroid: tuple
-    area: int
-
-    @property
-    def hull_origin(self) -> tuple:
-        r0, c0 = self.region.origin
-        return (r0 - _HULL_PAD, c0 - _HULL_PAD)
-
-    @cached_property
-    def hull(self) -> np.ndarray:
-        filled = ndimage.binary_fill_holes(np.pad(self.region.crop, _HULL_PAD))
-        return ndimage.binary_dilation(filled, iterations=CONTAIN_DILATE_PX)
-
-
-def _in_single_view(a: _RelEntry, b: _RelEntry) -> bool:
+def _in_single_view(a: Region, b: Region) -> bool:
     if not a.area < b.area:
         return False
     # a's crop must meet b's padded hull box, or nothing is covered and
     # b's hull need not be built
-    ar0, ar1, ac0, ac1 = a.region.box
-    br0, br1, bc0, bc1 = b.region.box
-    if not (ar0 < br1 + _HULL_PAD and br0 - _HULL_PAD < ar1
-            and ac0 < bc1 + _HULL_PAD and bc0 - _HULL_PAD < ac1):
+    ar0, ar1, ac0, ac1 = a.box
+    br0, br1, bc0, bc1 = b.box
+    if not (ar0 < br1 + HULL_PAD and br0 - HULL_PAD < ar1
+            and ac0 < bc1 + HULL_PAD and bc0 - HULL_PAD < ac1):
         return False
-    covered = a.region.overlap(b.hull, b.hull_origin)
+    covered = a.overlap(b.hull, b.hull_origin)
     return covered / a.area >= CONTAIN_COVERAGE
 
 
-def _on_single_view(a: _RelEntry, b: _RelEntry) -> bool:
+def _on_single_view(a: Region, b: Region) -> bool:
     # bottom band of A meeting the top band of B: shift A down one row and
     # count contact with B's visible mask (masks are disjoint, so only the
     # boundary row contributes)
     if not a.centroid[1] < b.centroid[1]:
         return False
-    ar0, ac0 = a.region.origin
-    contact = b.region.overlap(a.region.crop, (ar0 + 1, ac0))
+    ar0, ac0 = a.origin
+    contact = b.overlap(a.crop, (ar0 + 1, ac0))
     return contact >= SUPPORT_CONTACT_PX
 
 
-def induce_relations(entries: dict, image_diag: dict) -> set:
+def induce_relations(regions: dict, image_diag: dict) -> set:
     """Relations from per-view mask evidence.
 
-    entries: node_id -> {view_id: _RelEntry}; image_diag: view_id -> float.
+    regions: node_id -> {view_id: Region}; image_diag: view_id -> float.
     in/on require agreement in every view where both nodes are grounded;
     near needs any single view.  Containment shadows support for a pair.
-    A node's hole-filled, dilated hull is built here, the first time a
-    smaller node's crop meets its padded box in that view; pairs that fail
-    the area order or the box test never build one.
+    A region's hull (Region.hull) is built the first time a smaller node's
+    crop meets its padded box in that view, and the region keeps it; pairs
+    that fail the area order or the box test never build one.
     """
     rels = set()
-    ids = sorted(entries)
+    ids = sorted(regions)
     for a in ids:
         for b in ids:
             if a == b:
                 continue
-            both = [v for v in entries[a] if v in entries[b]]
+            ea, eb = regions[a], regions[b]
+            both = [v for v in ea if v in eb]
             if not both:
                 continue
-            ea, eb = entries[a], entries[b]
             if all(_in_single_view(ea[v], eb[v]) for v in both):
                 rels.add((a, b, "in"))
             elif all(_on_single_view(ea[v], eb[v]) for v in both):
@@ -400,7 +368,7 @@ def induce_relations(entries: dict, image_diag: dict) -> set:
 def _entries_for(nodes: list, step: int) -> dict:
     out = {}
     for node in nodes:
-        per_view = {view_id: _RelEntry(g.region, g.centroid, g.area_px)
+        per_view = {view_id: g.region
                     for view_id, g in node.groundings.items()
                     if g.seen_step == step}
         if per_view:
@@ -412,8 +380,7 @@ def _entries_for(nodes: list, step: int) -> dict:
 
 
 def _grounding_from_detection(det: Detection, step: int) -> Grounding:
-    return Grounding(region=det.region, centroid=det.centroid,
-                     area_px=det.area_px, source_id=det.source_id,
+    return Grounding(region=det.region, source_id=det.source_id,
                      seen_step=step)
 
 
@@ -504,7 +471,8 @@ def _node_anchor_map(graph: SemanticGraph, step: int) -> dict:
     for node in graph.sorted_nodes():
         for view_id, g in node.groundings.items():
             if g.seen_step == step:
-                anchors.setdefault(view_id, []).append((node.node_id, g.centroid))
+                anchors.setdefault(view_id, []).append(
+                    (node.node_id, g.region.centroid))
     return anchors
 
 
@@ -579,8 +547,8 @@ def update_graph(graph: SemanticGraph, raw_obs, task_spec: TaskSpec,
             continue
         node = graph.nodes[node_id]
         node.groundings[view_id] = Grounding(
-            region=region, centroid=region.centroid, area_px=region.area,
-            source_id=node.groundings[view_id].source_id, seen_step=step)
+            region=region, source_id=node.groundings[view_id].source_id,
+            seen_step=step)
         node.last_seen_step = step
 
     pairs, singles, no_anchor_flag = associate(

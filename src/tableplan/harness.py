@@ -129,7 +129,7 @@ def rgb_choose(task: str, variant: str, g: SemanticGraph,
         return [g.nodes[nid] for nid in g.objects_by(class_name=cls)]
 
     if task == "pnp_twice":
-        cubes, plates = nodes("cube"), nodes("plate")
+        cubes = nodes("cube")
         if held is not None:
             if cubes and held == cubes[0].node_id:
                 empties = [g.nodes[nid] for nid in g.empty_containers("plate")]
@@ -181,7 +181,7 @@ def rgb_choose(task: str, variant: str, g: SemanticGraph,
         return _done_output(), None
 
     if task == "swap_cups":
-        cups, plates = nodes("cup"), nodes("plate")
+        cups = nodes("cup")
         if held is not None:
             if held in {c.node_id for c in cups}:
                 empties = [g.nodes[nid] for nid in g.empty_containers("plate")]

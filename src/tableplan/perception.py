@@ -55,13 +55,9 @@ class Detection:
     source_id: int  # simulator id behind the mask; used only for the gripper
     # mapping and by test oracles, never for cross-view matching
     region: Region
-    centroid: tuple  # (col, row), pixel units
-    area_px: int
-    visible_fraction: float
     class_name: str
     attributes: dict
     feature: np.ndarray
-    is_arm: bool = False
 
 
 @dataclass(frozen=True)
@@ -136,10 +132,8 @@ def segment(raw_obs, noise: NoiseConfig, rng: Rng) -> dict:
             feature = perturbed_feature(rec.base_feature, noise.feature_sigma, rng)
             dets.append(Detection(
                 view_id=view_id, source_id=source_id,
-                region=rec.region, centroid=rec.centroid, area_px=rec.area_px,
-                visible_fraction=rec.visible_fraction,
-                class_name=class_name, attributes=attributes,
-                feature=feature, is_arm=(class_name == ARM_CLASS),
+                region=rec.region, class_name=class_name,
+                attributes=attributes, feature=feature,
             ))
         out[view_id] = dets
     return out
@@ -148,8 +142,8 @@ def segment(raw_obs, noise: NoiseConfig, rng: Rng) -> dict:
 def identify_relevant(detections: dict, task_spec: TaskSpec) -> dict:
     """Keep detections whose (possibly confused) class the task admits.
 
-    The robot arm always survives the filter, flagged, so downstream
-    consumers can treat it specially.
+    The robot arm always survives the filter; downstream consumers tell it
+    apart by its class name.
     """
     out = {}
     for view_id in sorted(detections):

@@ -7,7 +7,6 @@ executor's grounding problem shrinks to exactly the named objects.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,15 +14,10 @@ import numpy as np
 from .graph import SemanticGraph
 
 BACKGROUND = 0
-_HOLE_RE = re.compile(r"\{([A-Za-z0-9_\-]+)\}")
 
 
 class UnknownNode(Exception):
     """A relevant-object id is not a node in the graph."""
-
-
-class UnresolvedHole(Exception):
-    """A template hole has no binding."""
 
 
 @dataclass(frozen=True)
@@ -99,13 +93,3 @@ def raw_obs_passthrough(raw_obs, relevant_ids, subtask_cue: str) -> MaskedObserv
         boxes[view_id] = (0, labels.shape[0], 0, labels.shape[1])
     return MaskedObservation(views=views, boxes=boxes, subtask_cue=subtask_cue,
                              relevant_ids=frozenset(relevant_ids))
-
-
-def format_subtask_cue(template: str, env: dict) -> str:
-    """Fill {var} holes with node names; leftover holes are an error."""
-    def fill(match):
-        var = match.group(1)
-        if var not in env:
-            raise UnresolvedHole(f"template hole {{{var}}} has no binding")
-        return str(env[var])
-    return _HOLE_RE.sub(fill, template)

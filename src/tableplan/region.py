@@ -9,14 +9,25 @@ read-only because one Region is shared by a view record, its detection, the
 groundings made from it and the tracker.  Every piece of per-object mask work
 (area, centroid, overlaps, IoU, shifting, RLE) runs inside the box, never
 over the whole frame.
+
+A Region is also the only owner of the facts its mask implies: `area` and
+`centroid` are computed once on construction, and `hull` -- what containment
+is tested against -- is built on first access and kept for the region's
+life, so every record, detection and grounding that shares the region
+shares its hull.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
+from scipy import ndimage
+
+CONTAIN_DILATE_PX = 2
+HULL_PAD = CONTAIN_DILATE_PX + 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,6 +65,20 @@ class Region:
     def box(self) -> tuple:
         r0, c0 = self.origin
         return (r0, r0 + self.crop.shape[0], c0, c0 + self.crop.shape[1])
+
+    @cached_property
+    def hull(self) -> np.ndarray:
+        """The crop padded by HULL_PAD, hole-filled, then dilated
+        CONTAIN_DILATE_PX times; placed at `hull_origin`.  Read-only."""
+        filled = ndimage.binary_fill_holes(np.pad(self.crop, HULL_PAD))
+        hull = ndimage.binary_dilation(filled, iterations=CONTAIN_DILATE_PX)
+        hull.setflags(write=False)
+        return hull
+
+    @property
+    def hull_origin(self) -> tuple:
+        r0, c0 = self.origin
+        return (r0 - HULL_PAD, c0 - HULL_PAD)
 
     def overlap(self, crop: np.ndarray, origin: tuple) -> int:
         """Pixels of this region that fall on the pixels of `crop`, a bool

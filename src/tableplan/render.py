@@ -94,13 +94,9 @@ class ViewRecord:
     object_id: int
     class_name: str
     attributes: dict
-    appearance_seed: int
     base_feature: np.ndarray
-    centroid: tuple  # (col, row) of the visible mask
-    area_px: int  # visible pixels
     region: Region  # the visible mask
-    full_px: int  # unoccluded, unclipped footprint pixels
-    visible_fraction: float
+    visible_fraction: float  # visible / unoccluded, unclipped footprint pixels
 
 
 @dataclass(frozen=True)
@@ -154,11 +150,11 @@ class Renderer:
         for cam in self.cameras:
             w, h = cam.image_size
             label = np.zeros((h, w), dtype=np.int32)
-            full_px = {}
+            footprint = {}
             boxes = {}  # object id -> clipped box it was painted into
             for obj in drawable:
                 mask, (r0, c0) = self._raster(obj, cam)
-                full_px[obj.id] = int(mask.sum())
+                footprint[obj.id] = int(mask.sum())
                 mh, mw = mask.shape
                 rr0, cc0 = max(r0, 0), max(c0, 0)
                 rr1, cc1 = min(r0 + mh, h), min(c0 + mw, w)
@@ -167,7 +163,7 @@ class Renderer:
                 sub = mask[rr0 - r0:rr1 - r0, cc0 - c0:cc1 - c0]
                 label[rr0:rr1, cc0:cc1][sub] = obj.id
                 boxes[obj.id] = (rr0, rr1, cc0, cc1)
-            records = self._records(world, label, full_px, boxes)
+            records = self._records(world, label, footprint, boxes)
             views[cam.view_id] = ViewObservation(cam.view_id, cam.image_size,
                                                  label, records)
         return RawObservation(
@@ -176,7 +172,7 @@ class Renderer:
         )
 
     @staticmethod
-    def _records(world: WorldState, label: np.ndarray, full_px: dict,
+    def _records(world: WorldState, label: np.ndarray, footprint: dict,
                  boxes: dict) -> dict:
         records = {}
         for obj in world.objects:
@@ -189,15 +185,12 @@ class Renderer:
             if region is None:
                 continue
             n = region.area
-            full = max(full_px.get(oid, n), 1)
             records[oid] = ViewRecord(
                 object_id=oid, class_name=obj.class_name,
                 attributes=dict(obj.attributes),
-                appearance_seed=obj.appearance_seed,
                 base_feature=base_feature(obj.appearance_seed),
-                centroid=region.centroid, area_px=n, region=region,
-                full_px=full,
-                visible_fraction=n / full,
+                region=region,
+                visible_fraction=n / max(footprint.get(oid, n), 1),
             )
         return records
 

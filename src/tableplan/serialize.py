@@ -94,8 +94,9 @@ def graph_to_snapshot(graph: SemanticGraph) -> dict:
             groundings[view_id] = {
                 "rle": g.region.rle(),
                 "size": list(g.region.frame),
-                "centroid": [fmt_float(g.centroid[0]), fmt_float(g.centroid[1])],
-                "area": int(g.area_px),
+                "centroid": [fmt_float(g.region.centroid[0]),
+                             fmt_float(g.region.centroid[1])],
+                "area": g.region.area,
                 "source": int(g.source_id),
                 "seen_step": int(g.seen_step),
             }
@@ -122,7 +123,11 @@ def graph_to_snapshot(graph: SemanticGraph) -> dict:
 
 
 def graph_from_snapshot(snapshot: dict) -> SemanticGraph:
-    """Rebuild a queryable graph from a snapshot (features are zeroed)."""
+    """Rebuild a queryable graph from a snapshot (features are zeroed).
+
+    Each grounding's centroid and area come from its decoded mask; the
+    snapshot's own copies of them are not read.
+    """
     graph = SemanticGraph(step=int(snapshot["step"]))
     for rec in snapshot["nodes"]:
         groundings = {}
@@ -132,9 +137,7 @@ def graph_from_snapshot(snapshot: dict) -> SemanticGraph:
                 raise ValueError(f"node {rec['id']} has an empty mask "
                                  f"in view {view_id}")
             groundings[view_id] = Grounding(
-                region=region,
-                centroid=(float(g["centroid"][0]), float(g["centroid"][1])),
-                area_px=int(g["area"]), source_id=int(g["source"]),
+                region=region, source_id=int(g["source"]),
                 seen_step=int(g["seen_step"]))
         node = GraphNode(
             node_id=int(rec["id"]), name=rec["name"], class_name=rec["class"],

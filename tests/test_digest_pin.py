@@ -1,0 +1,91 @@
+"""The records digest is the contract: pinned hashes of fixed-seed episodes.
+
+Two episodes of every benchmark workload config -- the three perfect tasks,
+configs/swap_noisy.json, raw vision with 8 distractors, and the three
+place_and_stack planners at default noise (written to a log and replayed) --
+are hashed the way the benchmark hashes them: the canonical JSON of each
+record with its wall-clock fields dropped.  A change that alters what the
+loop computes changes a hash here; a refactor or a speed-up must not.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from tableplan.config import SceneConfig, default_noise_config, perfect_config
+from tableplan.harness import replay_log, run_episode
+from tableplan.serialize import canonical_json
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+VOLATILE = ("latency_ns", "wall_time_s")
+SEEDS = (1, 2)
+
+
+def _config(name: str) -> SceneConfig:
+    if name.startswith("perfect_"):
+        return perfect_config(name[len("perfect_"):])
+    if name == "swap_noisy":
+        return SceneConfig.load(str(CONFIGS / "swap_noisy.json"))
+    if name == "raw_clutter":
+        return perfect_config("swap_cups", distractors=8, vision="raw")
+    planner = name[len("replay_"):]
+    return default_noise_config("place_and_stack", planner=planner)
+
+
+def records_digest(records: list) -> str:
+    h = hashlib.sha256()
+    for rec in records:
+        stable = {k: v for k, v in rec.items() if k not in VOLATILE}
+        h.update(canonical_json(stable).encode("utf-8"))
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+# (config, seed) -> records digest
+PINNED = {
+    ("perfect_pnp_twice", 1):
+        "d9f1bc35455d8b2cdf2ff9d711104ca125764af5bbfde7a173c04156f0a1b7d4",
+    ("perfect_pnp_twice", 2):
+        "d11c35c4db7de1d2eb57ec0214b7be7c77faf7997deb2c844ef5fd464b6ae28b",
+    ("perfect_place_and_stack", 1):
+        "4cb0b3e795850c12bd02a7c7575b9195a1a3972fa6fff0a3a69a0e84862e57d7",
+    ("perfect_place_and_stack", 2):
+        "1344d7c69c281c440d816fc7bbd984ef55ccdeda665c52108908a63fdd7ecf56",
+    ("perfect_swap_cups", 1):
+        "3895c586cb8171548e1dc7efdabede59eeb5f3d145647b06c56a205e7b050032",
+    ("perfect_swap_cups", 2):
+        "aef3a726340e4214cf69e12e3877776ed38711c473d10d9e1b1799229b4d0eca",
+    ("swap_noisy", 1):
+        "d154bcaa3819974357c64e65fa84cc47daa67f9fb7469c8e840b30699bbe7a04",
+    ("swap_noisy", 2):
+        "afde429dce4142a6f841a3a09942c589f866f657cd7dd0aeb3b2c806a9ac8602",
+    ("raw_clutter", 1):
+        "84ec20d2e1827bfc79c08c780111fdbc41a52d6f521f2a4e6537e7102dce55e0",
+    ("raw_clutter", 2):
+        "59ef35d7356c459dc5bb7aaee099b06ad5462e8293926f7ce9f0832c1e5dc8f5",
+    ("replay_code", 1):
+        "4b9c6f281cf461c10ce7bc5c7a0bebca3a8847cad4348141d8c6ea6ab7aa021b",
+    ("replay_code", 2):
+        "83ad321213499839165d73bcbad87492061a3192ea4451a6e55623c6a48600bc",
+    ("replay_mock_vlm_graph", 1):
+        "0427fee9405e60ca3910946c8c1d0ad042afeda00032e17b5f917929f3ce54c5",
+    ("replay_mock_vlm_graph", 2):
+        "b8936cc8e52e9d58fa05791dcd340bf1a99feea44137924a5c5f977621853e79",
+    ("replay_mock_vlm_rgb", 1):
+        "4b6f5509501f3029bfbc7c0650d96a081ec1b0df4295c1699c414333c18558f2",
+    ("replay_mock_vlm_rgb", 2):
+        "7a70bc77ab5a98631d64dcfda59012e024bce6a9f0a5989c80d2fdc5fa8b4c75",
+}
+
+
+@pytest.mark.parametrize("name,seed", sorted(PINNED))
+def test_records_digest_pinned(name, seed, tmp_path):
+    cfg = _config(name)
+    if name.startswith("replay_"):
+        log = tmp_path / "episode.jsonl"
+        result = run_episode(cfg, seed, log_path=str(log))
+        replay_log(str(log))
+    else:
+        result = run_episode(cfg, seed)
+    assert records_digest(result.records) == PINNED[(name, seed)]

@@ -132,7 +132,7 @@ def test_corpus_programs_parse():
         assert list(swap.step_index) == ["stage", "cross", "settle"]
         assert [v for v, _ in swap.bindings] == [
             "first_cup", "other_cup", "src", "dst", "buffer"]
-        for step, _ in swap.step_index.values():
+        for step in swap.step_index.values():
             assert step.actions[-1].guard == ("true",)
 
 

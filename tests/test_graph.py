@@ -9,16 +9,16 @@ from oracles import HAND_ANCHORS, HAND_POINT, HAND_SIGNATURE
 from scenes import (full_frame_box, full_mask, graph_and_drifted_tracks,
                     scattered_scenes)
 from tableplan.config import AssocThresholds, NoiseConfig, SceneConfig
-from tableplan.graph import (CONTAIN_COVERAGE, CONTAIN_DILATE_PX,
-                             NEAR_FRACTION, SUPPORT_CONTACT_PX,
+from tableplan.graph import (CONTAIN_COVERAGE, NEAR_FRACTION,
+                             SUPPORT_CONTACT_PX,
                              NoAnchors, SemanticGraph, _rebuild_edges,
                              apply_action_feedback, associate,
                              associate_geometric, associate_semantic,
                              distance_signature, induce_relations,
                              init_graph, node_by_source, signature_distance,
-                             update_graph, Grounding, _RelEntry)
+                             update_graph, Grounding)
 from tableplan.perception import Detection, base_feature, make_task_spec
-from tableplan.region import Region
+from tableplan.region import CONTAIN_DILATE_PX, Region
 from tableplan.render import render_views
 from tableplan.rng import Rng
 from tableplan.world import (Primitive, apply_primitive,
@@ -46,9 +46,8 @@ def fake_det(view, source, feature, centroid=(5.0, 5.0), cls="cube"):
     r, c = int(centroid[1]), int(centroid[0])
     mask[r - 1:r + 2, c - 1:c + 2] = True
     return Detection(view_id=view, source_id=source,
-                     region=Region.from_full(mask), centroid=centroid, area_px=9,
-                     visible_fraction=1.0, class_name=cls, attributes={},
-                     feature=feature)
+                     region=Region.from_full(mask), class_name=cls,
+                     attributes={}, feature=feature)
 
 
 # -- semantic association ------------------------------------------------------
@@ -121,10 +120,8 @@ def test_geometric_association_synthetic():
         c, si = math.cos(th), math.sin(th)
         return (s * (c * p[0] - si * p[1]) + 7, s * (si * p[0] + c * p[1]) + 3)
 
-    left_a = [fake_det("v1", 3, base_feature(3), pts[2]),
-              fake_det("v1", 4, base_feature(4), pts[3])]
-    left_b = [fake_det("v2", 14, base_feature(14), view_b(pts[3])),
-              fake_det("v2", 13, base_feature(13), view_b(pts[2]))]
+    left_a = [pts[2], pts[3]]
+    left_b = [view_b(pts[3]), view_b(pts[2])]
     anchors_a = [pts[0], pts[1]]
     anchors_b = [view_b(pts[0]), view_b(pts[1])]
     pairs = associate_geometric(left_a, left_b, anchors_a, anchors_b,
@@ -134,8 +131,7 @@ def test_geometric_association_synthetic():
 
 
 def test_geometric_association_requires_anchors():
-    a = [fake_det("v1", 1, base_feature(1))]
-    b = [fake_det("v2", 2, base_feature(2))]
+    a, b = [(5.0, 5.0)], [(5.0, 5.0)]
     with pytest.raises(NoAnchors):
         associate_geometric(a, b, [], [], [], [], 0, 0.1, 0.05)
     # anchors exist but none shared: no pairs rather than an error
@@ -177,20 +173,15 @@ def test_associate_identity_on_clean_scenes():
 # -- relation induction ------------------------------------------------------------
 
 
-def entry_from(mask):
-    rows, cols = np.nonzero(mask)
-    centroid = (cols.mean() + 0.5, rows.mean() + 0.5)
-    return _RelEntry(Region.from_full(mask), centroid, int(mask.sum()))
-
-
 def test_induce_containment_and_near():
     big = np.zeros((60, 60), dtype=bool)
     big[10:40, 10:40] = True
     big[15:35, 15:35] = False  # a ring with a hole
     small = np.zeros((60, 60), dtype=bool)
     small[20:30, 20:30] = True
-    entries = {1: {"v": entry_from(small)}, 2: {"v": entry_from(big)}}
-    rels = induce_relations(entries, {"v": 85.0})
+    regions = {1: {"v": Region.from_full(small)},
+               2: {"v": Region.from_full(big)}}
+    rels = induce_relations(regions, {"v": 85.0})
     assert (1, 2, "in") in rels
     assert (2, 1, "in") not in rels
     assert (1, 2, "near") in rels
@@ -201,8 +192,9 @@ def test_induce_support():
     base[30:40, 10:30] = True
     top = np.zeros((60, 60), dtype=bool)
     top[20:30, 12:28] = True  # bottom row touches base's top row
-    entries = {1: {"v": entry_from(top)}, 2: {"v": entry_from(base)}}
-    rels = induce_relations(entries, {"v": 1000.0})
+    regions = {1: {"v": Region.from_full(top)},
+               2: {"v": Region.from_full(base)}}
+    rels = induce_relations(regions, {"v": 1000.0})
     assert (1, 2, "on") in rels
     assert (2, 1, "on") not in rels
 
@@ -213,8 +205,9 @@ def test_containment_shadows_support():
     big[15:35, 15:35] = False
     small = np.zeros((60, 60), dtype=bool)
     small[25:34, 20:30] = True  # inside the hull AND touching the lower band
-    entries = {1: {"v": entry_from(small)}, 2: {"v": entry_from(big)}}
-    rels = induce_relations(entries, {"v": 1000.0})
+    regions = {1: {"v": Region.from_full(small)},
+               2: {"v": Region.from_full(big)}}
+    rels = induce_relations(regions, {"v": 1000.0})
     assert (1, 2, "in") in rels and (1, 2, "on") not in rels
 
 
@@ -346,10 +339,10 @@ def test_lazy_hulls_match_eager_reference():
     seen = set()
     for _ in range(300):
         masks = random_scene(rng)
-        entries = {nid: {v: entry_from(m) for v, m in views.items()}
+        regions = {nid: {v: Region.from_full(m) for v, m in views.items()}
                    for nid, views in masks.items()}
         want = eager_relations(masks, diag)
-        assert induce_relations(entries, diag) == want
+        assert induce_relations(regions, diag) == want
         seen.update(rel for (_, _, rel) in want)
     assert seen == {"in", "on", "near"}
 
@@ -373,8 +366,9 @@ def test_far_apart_masks_build_no_hull(fill_holes_calls):
     ring = np.zeros((60, 60), dtype=bool)
     ring[30:50, 30:50] = True
     ring[34:46, 34:46] = False
-    entries = {1: {"v": entry_from(small)}, 2: {"v": entry_from(ring)}}
-    assert induce_relations(entries, {"v": 100.0}) == set()
+    regions = {1: {"v": Region.from_full(small)},
+               2: {"v": Region.from_full(ring)}}
+    assert induce_relations(regions, {"v": 100.0}) == set()
     assert fill_holes_calls == []
 
 
@@ -384,8 +378,9 @@ def test_only_the_larger_hull_is_built(fill_holes_calls):
     ring = np.zeros((60, 60), dtype=bool)
     ring[30:50, 30:50] = True
     ring[34:46, 34:46] = False
-    entries = {1: {"v": entry_from(small)}, 2: {"v": entry_from(ring)}}
-    assert (1, 2, "in") in induce_relations(entries, {"v": 1000.0})
+    regions = {1: {"v": Region.from_full(small)},
+               2: {"v": Region.from_full(ring)}}
+    assert (1, 2, "in") in induce_relations(regions, {"v": 1000.0})
     assert fill_holes_calls == [(20 + 2 * HULL_PAD, 20 + 2 * HULL_PAD)]
 
 
@@ -416,7 +411,7 @@ def test_queries():
     assert len(empties) == 1
     assert g.relation_holds(black[0], plate, "in")
     assert not g.relation_holds(plate, black[0], "in")
-    assert g.holding() is None and g.gripper_free
+    assert g.held_node is None and g.gripper_free
 
 
 def test_near_is_canonical():
@@ -546,10 +541,7 @@ def test_unique_parent_filter():
 
     g = SemanticGraph(step=0)
     for i, mask in ((1, inner), (2, ring), (3, big_ring)):
-        rows, cols = np.nonzero(mask)
-        grounding = Grounding(region=Region.from_full(mask),
-                              centroid=(cols.mean() + .5, rows.mean() + .5),
-                              area_px=int(mask.sum()), source_id=i,
+        grounding = Grounding(region=Region.from_full(mask), source_id=i,
                               seen_step=0)
         g.add_node("cup" if i < 3 else "plate", {}, base_feature(i),
                    {"v": grounding}, 0)
@@ -589,7 +581,7 @@ def test_box_local_mask_work_matches_full_frame():
         graph, tracked = graph_and_drifted_tracks(cfg, raw, k)
         for (node_id, view_id), region in tracked.items():
             source = graph.nodes[node_id].groundings[view_id].source_id
-            area = raw.views[view_id].records[source].area_px
+            area = raw.views[view_id].records[source].region.area
             seen["off_frame"] += region.area < area
             rows, cols = np.nonzero(full_mask(region))
             assert (region.centroid, region.area) == (

@@ -87,10 +87,9 @@ def test_segment_noise_free():
             mask = full_mask(d.region)
             assert np.array_equal(
                 mask, raw.views[view_id].label_map == d.source_id)
-            assert d.area_px == int(mask.sum())
+            assert d.region.area == int(mask.sum())
             assert d.feature is base_feature(
                 world.get(d.source_id).appearance_seed)
-            assert d.is_arm == (d.class_name == "arm")
 
 
 def test_segment_draw_order_is_stable():

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from tableplan.config import SceneConfig
-from tableplan.graph import init_graph, node_by_source
+from tableplan.graph import init_graph
 from tableplan.perception import make_task_spec
-from tableplan.prompting import (BACKGROUND, UnknownNode, UnresolvedHole,
-                                 clutter_free_obs, format_subtask_cue,
+from tableplan.prompting import (BACKGROUND, UnknownNode, clutter_free_obs,
                                  raw_obs_passthrough, retention_mask)
 from tableplan.render import render_views
 from tableplan.rng import Rng
@@ -100,15 +99,6 @@ def test_masked_observation_fields():
     assert obs.relevant_ids == frozenset(keep)
     src = next(iter(g.nodes[keep[0]].groundings.values())).source_id
     assert obs.visible_source_ids("overhead") == [src]
-
-
-def test_format_subtask_cue():
-    assert format_subtask_cue("pick up the {a}", {"a": "red cube"}) == \
-        "pick up the red cube"
-    assert format_subtask_cue("no holes", {}) == "no holes"
-    assert format_subtask_cue("{a} on {b}", {"a": "x", "b": "y"}) == "x on y"
-    with pytest.raises(UnresolvedHole):
-        format_subtask_cue("pick up the {missing}", {"a": "x"})
 
 
 def test_random_retention_subsets_stay_sound():

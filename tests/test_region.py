@@ -67,6 +67,8 @@ def test_shared_crop_is_read_only():
     det = dets["overhead"][0]
     region = raw.views["overhead"].records[det.source_id].region
     assert det.region is region
-    for crop in (region.crop, region.shifted(0, 0).crop):
+    # the hull is built once and kept by the region its sharers hold
+    assert region.hull is det.region.hull
+    for array in (region.crop, region.shifted(0, 0).crop, region.hull):
         with pytest.raises(ValueError):
-            crop[0, 0] = not crop[0, 0]
+            array[0, 0] = not array[0, 0]

@@ -90,7 +90,6 @@ def test_plate_contents_stay_visible_and_occlude():
         assert rec_cube.visible_fraction == pytest.approx(1.0)
         # the cube sits on the plate and hides part of it
         assert rec_plate.visible_fraction < 1.0
-        assert rec_plate.area_px < rec_plate.full_px
 
 
 def test_record_consistency():
@@ -99,10 +98,10 @@ def test_record_consistency():
     for view in raw.views.values():
         for oid, rec in view.records.items():
             mask = view.label_map == oid
-            assert rec.area_px == int(mask.sum())
+            assert rec.region.area == int(mask.sum())
             rows, cols = np.nonzero(mask)
-            assert rec.centroid[0] == pytest.approx(cols.mean() + 0.5)
-            assert rec.centroid[1] == pytest.approx(rows.mean() + 0.5)
+            assert rec.region.centroid[0] == pytest.approx(cols.mean() + 0.5)
+            assert rec.region.centroid[1] == pytest.approx(rows.mean() + 0.5)
             assert 0.0 < rec.visible_fraction <= 1.0
             assert rec.base_feature.shape == (16,)
 
@@ -123,10 +122,10 @@ def test_lift_shifts_render_position():
     cfg, world = scene("pnp_twice", seed=0)
     cube = world.by_class("cube")[0]
     raw1 = render_views(world, cfg.cameras, cfg.geometry["lift_m"])
-    c1 = raw1.views["overhead"].records[cube.id].centroid
+    c1 = raw1.views["overhead"].records[cube.id].region.centroid
     world, _ = apply_primitive(world, Primitive(kind="pick", target=cube.id))
     raw2 = render_views(world, cfg.cameras, cfg.geometry["lift_m"])
-    c2 = raw2.views["overhead"].records[cube.id].centroid
+    c2 = raw2.views["overhead"].records[cube.id].region.centroid
     arm = world.arm()
     cam = CameraSpec.from_config(cfg.cameras[0])
     lifted_y = arm.y - 3 * cfg.geometry["lift_m"]
@@ -159,7 +158,7 @@ def test_occlusion_paint_order():
     view = raw.views["overhead"]
     mask_cube = view.label_map == cube.id
     # every pixel of the cube is painted as cube, none as its plate
-    assert int(mask_cube.sum()) == view.records[cube.id].area_px
+    assert int(mask_cube.sum()) == view.records[cube.id].region.area
 
 
 def test_box_local_records_match_full_frame():
@@ -174,9 +173,10 @@ def test_box_local_records_match_full_frame():
             for oid, rec in view.records.items():
                 mask = label == oid
                 rows, cols = np.nonzero(mask)
-                assert rec.area_px == rows.size
+                assert rec.region.area == rows.size
                 # exact: both sides divide the same integer sum once
-                assert rec.centroid == (cols.mean() + 0.5, rows.mean() + 0.5)
+                assert rec.region.centroid == (cols.mean() + 0.5,
+                                               rows.mean() + 0.5)
                 box = rec.region.box
                 assert box == full_frame_box(mask)
                 assert np.array_equal(full_mask(rec.region), mask)
