@@ -92,6 +92,10 @@ def _cmd_suite(args) -> int:
                               f"integers, got {args.distractors!r}") from None
     else:
         distractors = [cfg.distractors]
+    for flag, values in (("--planners", planners), ("--visions", visions),
+                         ("--distractors", distractors)):
+        if not values:
+            raise ConfigError(f"{flag} must list at least one value")
     for p in planners:
         if p not in PLANNER_MODES:
             raise ConfigError(f"unknown planner mode {p!r}")
@@ -146,6 +150,10 @@ def _cmd_validate_plan(args) -> int:
 
 
 def _cmd_assoc_bench(args) -> int:
+    if args.scenes < 1:
+        raise ConfigError(f"--scenes must be at least 1, got {args.scenes}")
+    if not args.sigma >= 0.0:  # also rejects nan
+        raise ConfigError(f"--sigma must be non-negative, got {args.sigma}")
     report = run_assoc_bench(args.scenes, args.sigma, seed0=args.seed0)
     print(f"scenes={report['scenes']} sigma={report['sigma']}")
     print(f"exact scenes: {report['exact_scenes']}/{report['scenes']} "

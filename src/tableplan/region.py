@@ -11,10 +11,11 @@ groundings made from it and the tracker.  Every piece of per-object mask work
 over the whole frame.
 
 A Region is also the only owner of the facts its mask implies: `area` and
-`centroid` are computed once on construction, and `hull` -- what containment
-is tested against -- is built on first access and kept for the region's
-life, so every record, detection and grounding that shares the region
-shares its hull.
+`centroid` are computed once on construction; `hull` -- what containment is
+tested against -- and the RLE runs that snapshots store are each built on
+first access and kept for the region's life.  So every record, detection
+and grounding that shares the region shares its hull and runs, and so does
+every later round the renderer carries the region into unchanged.
 """
 
 from __future__ import annotations
@@ -115,8 +116,14 @@ class Region:
 
     def rle(self) -> list:
         """Row-major run lengths of the full-frame mask, starting with a
-        zero-run (possibly length 0).  Only the region's rows are scanned;
-        the rows above and below are the leading and trailing zero runs."""
+        zero-run (possibly length 0); a new list on every call."""
+        return list(self._runs)
+
+    @cached_property
+    def _runs(self) -> tuple:
+        """The runs of `rle`, computed once.  Only the region's rows are
+        scanned; the rows above and below are the leading and trailing
+        zero runs."""
         h, w = self.frame
         r0, r1, c0, c1 = self.box
         band = np.zeros((r1 - r0, w), dtype=bool)
@@ -133,4 +140,4 @@ class Region:
                 runs.append((h - r1) * w)
             else:
                 runs[-1] += (h - r1) * w
-        return runs
+        return tuple(runs)

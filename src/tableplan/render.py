@@ -63,6 +63,11 @@ def rasterize_polygon(verts_px: np.ndarray) -> tuple:
     Returns (mask, (row0, col0)) where mask is a bounding-box boolean array;
     the box is NOT clipped to any frame, so mask.sum() is the unoccluded
     footprint area in pixels.
+
+    One scanline pass: each edge that straddles a row's centre line crosses
+    it at x1 + t * (x2 - x1), and every pixel centre left of a crossing
+    toggles once, so a pixel is inside when an odd number of that row's
+    crossings lie to its right.
     """
     cols = verts_px[:, 0]
     rows = verts_px[:, 1]
@@ -72,20 +77,20 @@ def rasterize_polygon(verts_px: np.ndarray) -> tuple:
     r1 = int(math.ceil(rows.max()))
     width = max(c1 - c0, 1)
     height = max(r1 - r0, 1)
-    px = c0 + 0.5 + np.arange(width, dtype=np.float64)[None, :]
-    py = r0 + 0.5 + np.arange(height, dtype=np.float64)[:, None]
-    inside = np.zeros((height, width), dtype=bool)
-    n = len(verts_px)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(n):
-            x1, y1 = verts_px[i]
-            x2, y2 = verts_px[(i + 1) % n]
-            straddles = (y1 <= py) != (y2 <= py)
-            if not straddles.any():
-                continue
-            t = (py - y1) / (y2 - y1)
-            crossing = straddles & (px < x1 + t * (x2 - x1))
-            inside ^= crossing
+    px = c0 + 0.5 + np.arange(width, dtype=np.float64)
+    py = r0 + 0.5 + np.arange(height, dtype=np.float64)
+    nxt = np.roll(verts_px, -1, axis=0)
+    x1, y1 = verts_px[:, 0:1], verts_px[:, 1:2]
+    x2, y2 = nxt[:, 0:1], nxt[:, 1:2]
+    # (edge, row) pairs; a horizontal edge straddles no row, so t is finite
+    edge, row = np.nonzero((y1 <= py) != (y2 <= py))
+    x1, y1, x2, y2 = x1[edge, 0], y1[edge, 0], x2[edge, 0], y2[edge, 0]
+    t = (py[row] - y1) / (y2 - y1)
+    split = np.searchsorted(px, x1 + t * (x2 - x1))  # pixels left of it
+    counts = np.bincount(row * (width + 1) + split,
+                         minlength=height * (width + 1))
+    at_or_left = counts.reshape(height, width + 1).cumsum(axis=1)
+    inside = ((at_or_left[:, -1:] - at_or_left[:, :width]) & 1).astype(bool)
     return inside, (r0, c0)
 
 
@@ -115,14 +120,40 @@ class RawObservation:
     held_object_id: int | None
 
 
-class Renderer:
-    """Renders a world into per-view label maps, caching polygon rasters.
+@dataclass(frozen=True)
+class _ViewState:
+    """What one camera's last render leaves for the next."""
+    label: np.ndarray
+    painted: dict  # object id -> (raster key, clipped box)
+    regions: dict  # object id -> Region, visible objects only
 
-    The cache key is (object id, pose, view); within an episode only the
-    one or two objects a chunk moved get re-rasterized.  An object's visible
-    pixels all lie in the frame-clipped box it was painted into (later paints
-    only overwrite), so its record is computed from that box alone, never
-    from a whole-frame pass.
+
+class Renderer:
+    """Renders one episode's worlds into per-view label maps, carrying
+    per-object state from each render to the next.
+
+    Polygon rasters are cached with their footprint area under (object id,
+    pose, view), so within an episode only the one or two objects a chunk
+    moved get re-rasterized.  For each camera the renderer keeps the last
+    label map and, for each object painted into it, the object's raster key
+    and frame-clipped box.  An object whose entry differs from the last
+    render's has changed: it moved, changed z layer, was hidden inside an
+    opaque container, reappeared, or left the frame.  The old and new boxes
+    of every changed object are dirty.  The new label map is the last one
+    with each dirty box cleared and repainted back to front; a pixel outside
+    every dirty box is covered by the same objects, in the same order, as
+    before, so it cannot differ.
+
+    An object's visible pixels all lie in the box it was painted into (later
+    paints only overwrite), so an object whose box misses every dirty box --
+    it did not change, since its own box would be dirty -- keeps the last
+    render's Region, with its hull and RLE runs.  Every other visible object
+    gets a Region computed from its box alone, never from a whole-frame pass.
+
+    The first render is the same code starting from an empty frame with no
+    painted objects, so every object is changed.  Label maps are read-only
+    because the next render starts from them.  A Renderer serves one
+    episode: its caches assume that an object id keeps its footprint.
     """
 
     def __init__(self, cameras, lift_m: float):
@@ -130,69 +161,99 @@ class Renderer:
                         for c in cameras]
         self.lift_m = lift_m
         self._cache: dict = {}
+        self._views = {}
+        for cam in self.cameras:
+            w, h = cam.image_size
+            self._views[cam.view_id] = _ViewState(
+                np.zeros((h, w), dtype=np.int32), {}, {})
 
-    def _raster(self, obj, cam: CameraSpec):
+    def _raster(self, obj, cam: CameraSpec) -> tuple:
+        """(raster key, (mask, (row0, col0), footprint area))."""
         key = (obj.id, obj.x, obj.y, obj.z_layer, cam.view_id)
         hit = self._cache.get(key)
         if hit is None:
             verts = np.array(obj.footprint, dtype=np.float64)
             lifted_y = obj.y - (obj.z_layer - 1) * self.lift_m
             world_pts = verts + np.array([obj.x, lifted_y])
-            hit = rasterize_polygon(cam.world_to_px(world_pts))
+            mask, origin = rasterize_polygon(cam.world_to_px(world_pts))
+            hit = (mask, origin, int(mask.sum()))
             self._cache[key] = hit
-        return hit
+        return key, hit
 
     def render(self, world: WorldState) -> RawObservation:
-        views = {}
         drawable = sorted(
             (o for o in world.objects if not hidden_inside_opaque(world, o)),
             key=lambda o: (o.z_layer, o.id))
-        for cam in self.cameras:
-            w, h = cam.image_size
-            label = np.zeros((h, w), dtype=np.int32)
-            footprint = {}
-            boxes = {}  # object id -> clipped box it was painted into
-            for obj in drawable:
-                mask, (r0, c0) = self._raster(obj, cam)
-                footprint[obj.id] = int(mask.sum())
-                mh, mw = mask.shape
-                rr0, cc0 = max(r0, 0), max(c0, 0)
-                rr1, cc1 = min(r0 + mh, h), min(c0 + mw, w)
-                if rr0 >= rr1 or cc0 >= cc1:
-                    continue
-                sub = mask[rr0 - r0:rr1 - r0, cc0 - c0:cc1 - c0]
-                label[rr0:rr1, cc0:cc1][sub] = obj.id
-                boxes[obj.id] = (rr0, rr1, cc0, cc1)
-            records = self._records(world, label, footprint, boxes)
-            views[cam.view_id] = ViewObservation(cam.view_id, cam.image_size,
-                                                 label, records)
+        views = {cam.view_id: self._render_view(world, drawable, cam)
+                 for cam in self.cameras}
         return RawObservation(
             step=world.step_count, views=views,
             gripper_free=world.gripper.free, held_object_id=world.gripper.held,
         )
 
-    @staticmethod
-    def _records(world: WorldState, label: np.ndarray, footprint: dict,
-                 boxes: dict) -> dict:
+    def _render_view(self, world: WorldState, drawable: list,
+                     cam: CameraSpec) -> ViewObservation:
+        prev = self._views[cam.view_id]
+        h, w = prev.label.shape
+        painted = {}  # object id -> (raster key, clipped box)
+        paints = []   # (object id, mask, origin, clipped box), back to front
+        for obj in drawable:
+            key, (mask, (r0, c0), _) = self._raster(obj, cam)
+            mh, mw = mask.shape
+            box = (max(r0, 0), min(r0 + mh, h), max(c0, 0), min(c0 + mw, w))
+            if box[0] >= box[1] or box[2] >= box[3]:
+                continue
+            painted[obj.id] = (key, box)
+            paints.append((obj.id, mask, (r0, c0), box))
+        dirty = []
+        for oid in painted.keys() | prev.painted.keys():
+            old, new = prev.painted.get(oid), painted.get(oid)
+            if old != new:
+                dirty.extend(entry[1] for entry in (old, new) if entry)
+
+        label = prev.label.copy()
+        for r0, r1, c0, c1 in dirty:
+            label[r0:r1, c0:c1] = 0
+        # the part of each painted box inside each dirty box, back to front;
+        # an object whose box meets no dirty box keeps its last Region
+        boxes = np.array([p[3] for p in paints], dtype=np.int64).reshape(-1, 1, 4)
+        dirt = np.array(dirty, dtype=np.int64).reshape(1, -1, 4)
+        lo = np.maximum(boxes[..., 0::2], dirt[..., 0::2])
+        hi = np.minimum(boxes[..., 1::2], dirt[..., 1::2])
+        meets = (lo < hi).all(axis=2)
+        touched = {paints[i][0] for i in np.flatnonzero(meets.any(axis=1))}
+        for i, j in zip(*np.nonzero(meets)):
+            oid, mask, (mr0, mc0), _ = paints[i]
+            (r0, c0), (r1, c1) = lo[i, j].tolist(), hi[i, j].tolist()
+            sub = mask[r0 - mr0:r1 - mr0, c0 - mc0:c1 - mc0]
+            label[r0:r1, c0:c1][sub] = oid
+        label.setflags(write=False)
+
+        regions = {}
         records = {}
         for obj in world.objects:
             oid = obj.id
-            if oid not in boxes:
+            if oid not in painted:
                 continue
-            r0, r1, c0, c1 = boxes[oid]
-            region = Region.from_sub(label[r0:r1, c0:c1] == oid, (r0, c0),
-                                     label.shape)
+            key, (r0, r1, c0, c1) = painted[oid]
+            if oid in touched:
+                region = Region.from_sub(label[r0:r1, c0:c1] == oid, (r0, c0),
+                                         label.shape)
+            else:
+                region = prev.regions.get(oid)
             if region is None:
                 continue
-            n = region.area
+            regions[oid] = region
+            footprint = self._cache[key][2]
             records[oid] = ViewRecord(
                 object_id=oid, class_name=obj.class_name,
                 attributes=dict(obj.attributes),
                 base_feature=base_feature(obj.appearance_seed),
                 region=region,
-                visible_fraction=n / max(footprint.get(oid, n), 1),
+                visible_fraction=region.area / max(footprint, 1),
             )
-        return records
+        self._views[cam.view_id] = _ViewState(label, painted, regions)
+        return ViewObservation(cam.view_id, cam.image_size, label, records)
 
 
 def render_views(world: WorldState, cameras, lift_m: float = 0.03) -> RawObservation:

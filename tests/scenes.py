@@ -80,3 +80,65 @@ def full_frame_box(mask: np.ndarray):
 
 def touches_edge(box: tuple, shape: tuple) -> bool:
     return box[0] == 0 or box[2] == 0 or box[1] == shape[0] or box[3] == shape[1]
+
+
+SEQUENCE_OBJECTS = tuple({"class": c} for c in
+                         ("plate", "cup", "cube", "block", "sponge", "marker"))
+
+
+def move_sequence(rng: np.random.Generator, frames: int):
+    """(cfg, worlds): a scene of a plate, an opaque cup, a cube and three
+    distractors, then `frames` - 1 seeded edits, one per frame, each with a
+    nudge of the arm half the time.  The edits scatter an object (past the
+    frame edge at times, onto a random z layer), bring a scattered object
+    back onto the table, change only a z layer, hide the cube inside the cup
+    or reveal it, tuck a distractor fully under the plate, or do nothing."""
+    cfg = SceneConfig(task="custom", custom_objects=SEQUENCE_OBJECTS)
+    while True:
+        try:
+            world = init_world(cfg, int(rng.integers(1 << 30)))
+        except LayoutInfeasible:
+            continue
+        break
+    lift = cfg.geometry["lift_m"]
+    bw, bh = cfg.table_bounds
+    ids = {o.class_name: o.id for o in world.objects}
+    worlds = [world]
+    for _ in range(frames - 1):
+        objs = {o.id: o for o in world.objects}
+        edit = ("scatter", "back", "z", "hide", "tuck",
+                "none")[int(rng.integers(6))]
+        movable = [o for o in objs.values() if o.class_name != "arm"]
+        obj = movable[int(rng.integers(len(movable)))]
+        if edit == "scatter":
+            objs[obj.id] = replace(obj, x=float(rng.uniform(-0.12, bw + 0.12)),
+                                   y=float(rng.uniform(-0.12, bh + 0.12)),
+                                   z_layer=int(rng.integers(1, 4)))
+        elif edit == "back":
+            away = [o for o in movable
+                    if not (0 <= o.x <= bw and 0 <= o.y <= bh)]
+            if away:
+                obj = away[int(rng.integers(len(away)))]
+                objs[obj.id] = replace(obj, x=float(rng.uniform(0.1, bw - 0.1)),
+                                       y=float(rng.uniform(0.1, bh - 0.1)))
+        elif edit == "z":
+            objs[obj.id] = replace(obj, z_layer=1 + obj.z_layer % 3)
+        elif edit == "hide":
+            cube = objs[ids["cube"]]
+            inside = None if cube.container_of else ids["cup"]
+            objs[cube.id] = replace(cube, container_of=inside)
+        elif edit == "tuck":
+            small = objs[ids[("block", "sponge", "marker")[
+                int(rng.integers(3))]]]
+            # the plate renders one layer up, centred on the distractor
+            objs[ids["plate"]] = replace(objs[ids["plate"]], x=small.x,
+                                         y=small.y + lift,
+                                         z_layer=small.z_layer + 1)
+        if rng.random() < 0.5:
+            arm = objs[ids["arm"]]
+            objs[arm.id] = replace(arm, x=arm.x + float(rng.uniform(-0.05, 0.05)),
+                                   y=arm.y + float(rng.uniform(-0.05, 0.05)))
+        world = replace(world, objects=tuple(objs[i] for i in sorted(objs)),
+                        step_count=world.step_count + 1)
+        worlds.append(world)
+    return cfg, worlds

@@ -178,6 +178,12 @@ def test_suite_rejects_unknown_planner_value(capsys):
     (["--grid", "distractors", "--distractors", "1,x"],
      "--distractors must be comma-separated integers"),
     (["--seeds", "0"], "--seeds must be at least 1"),
+    (["--grid", "planner", "--planners", ""],
+     "--planners must list at least one value"),
+    (["--grid", "vision", "--visions", " , "],
+     "--visions must list at least one value"),
+    (["--grid", "distractors", "--distractors", ""],
+     "--distractors must list at least one value"),
 ])
 def test_suite_rejects_bad_counts(args, message, capsys):
     argv = ["suite", "--task", "swap_cups", "--seeds", "1", *args]
@@ -191,6 +197,19 @@ def test_assoc_bench(capsys):
     out = capsys.readouterr().out
     assert "exact scenes: 5/5" in out
     assert "pair accuracy:" in out
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--scenes", "-2"], "--scenes must be at least 1"),
+    (["--scenes", "0"], "--scenes must be at least 1"),
+    (["--sigma", "-0.5"], "--sigma must be non-negative"),
+    (["--sigma", "nan"], "--sigma must be non-negative"),
+])
+def test_assoc_bench_rejects_bad_args(args, message, capsys):
+    assert main(["assoc-bench", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and message in captured.err
 
 
 def test_version_flag(capsys):

@@ -8,7 +8,9 @@ from scipy import ndimage
 from oracles import HAND_ANCHORS, HAND_POINT, HAND_SIGNATURE
 from scenes import (full_frame_box, full_mask, graph_and_drifted_tracks,
                     scattered_scenes)
-from tableplan.config import AssocThresholds, NoiseConfig, SceneConfig
+from tableplan import harness
+from tableplan.config import (AssocThresholds, NoiseConfig, SceneConfig,
+                              perfect_config)
 from tableplan.graph import (CONTAIN_COVERAGE, NEAR_FRACTION,
                              SUPPORT_CONTACT_PX,
                              NoAnchors, SemanticGraph, _rebuild_edges,
@@ -19,9 +21,9 @@ from tableplan.graph import (CONTAIN_COVERAGE, NEAR_FRACTION,
                              update_graph, Grounding)
 from tableplan.perception import Detection, base_feature, make_task_spec
 from tableplan.region import CONTAIN_DILATE_PX, Region
-from tableplan.render import render_views
+from tableplan.render import Renderer, render_views
 from tableplan.rng import Rng
-from tableplan.world import (Primitive, apply_primitive,
+from tableplan.world import (DISTRACTOR_CLASSES, Primitive, apply_primitive,
                              ground_truth_relations, init_world)
 
 THRESH = AssocThresholds()
@@ -382,6 +384,57 @@ def test_only_the_larger_hull_is_built(fill_holes_calls):
                2: {"v": Region.from_full(ring)}}
     assert (1, 2, "in") in induce_relations(regions, {"v": 1000.0})
     assert fill_holes_calls == [(20 + 2 * HULL_PAD, 20 + 2 * HULL_PAD)]
+
+
+def test_render_carry_reaches_the_graph(fill_holes_calls, monkeypatch):
+    # one raw_clutter episode: a distractor nothing moves near keeps one
+    # Region for the episode, a plate keeps its Region while nothing near it
+    # changes, the graph grounds on the rendered Region itself, and each
+    # Region builds its hull once however many rounds test containment
+    frames, rounds = [], []
+    real_render = Renderer.render
+    real_snapshot = harness.graph_to_snapshot
+
+    def recording_render(self, world):
+        raw = real_render(self, world)
+        frames.append((world, raw))
+        return raw
+
+    def recording_snapshot(graph):
+        rounds.append([(n.class_name, v, g) for n in graph.sorted_nodes()
+                       for v, g in n.groundings.items()])
+        return real_snapshot(graph)
+
+    monkeypatch.setattr(Renderer, "render", recording_render)
+    monkeypatch.setattr(harness, "graph_to_snapshot", recording_snapshot)
+    harness.run_episode(perfect_config("swap_cups", distractors=8,
+                                       vision="raw"), 1)
+    assert len(frames) == len(rounds) > 2
+    first = frames[0][0]
+    seen = {"distractor": 0, "plate_carried": 0, "plate_repainted": 0}
+    for obj in first.objects:
+        if obj.class_name not in DISTRACTOR_CLASSES + ("plate",):
+            continue
+        assert all(w.get(obj.id).pose == obj.pose for w, _ in frames)
+        for view_id in frames[0][1].views:
+            regions = [raw.views[view_id].records[obj.id].region
+                       for _, raw in frames]
+            if obj.class_name != "plate":
+                assert all(r is regions[0] for r in regions)
+                seen["distractor"] += 1
+                continue
+            for a, b in zip(regions, regions[1:]):
+                seen["plate_carried" if a is b else "plate_repainted"] += 1
+    assert min(seen.values()) > 0, seen
+    hulled = {}
+    for (_, raw), groundings in zip(frames, rounds):
+        for _, view_id, g in groundings:
+            if g.seen_step == raw.step:
+                assert g.region is raw.views[view_id].records[g.source_id].region
+            if "hull" in vars(g.region):
+                hulled[id(g.region)] = g.region
+    assert any(class_name == "plate" for class_name, _, _ in rounds[0])
+    assert len(fill_holes_calls) == len(hulled) > 0
 
 
 # -- graph structure and queries ------------------------------------------------------

@@ -61,6 +61,18 @@ def test_rle_edge_rows(rows):
     assert np.array_equal(rle_decode(runs, mask.shape), mask)
 
 
+def test_rle_runs_are_cached_and_copied():
+    mask = np.zeros((6, 7), dtype=bool)
+    mask[2:4, 1:5] = True
+    region = Region.from_full(mask)
+    first = region.rle()
+    first.append(99)
+    first[0] = -1
+    second = region.rle()
+    assert second == region.rle() == rle_encode(mask)
+    assert second is not region.rle()
+
+
 def test_shared_crop_is_read_only():
     cfg, world, raw = next(scattered_scenes(1, seed=3))
     dets = segment(raw, NoiseConfig(), Rng.substream(0, "perception"))

@@ -3,12 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from tableplan.config import DEFAULT_CAMERAS, SceneConfig
+from tableplan import render
+from tableplan.config import DEFAULT_CAMERAS, SceneConfig, perfect_config
+from tableplan.harness import run_episode
 from tableplan.render import (CameraSpec, Renderer, rasterize_polygon,
                               render_views)
-from tableplan.world import Primitive, apply_primitive, init_world
+from tableplan.world import (Primitive, apply_primitive, hidden_inside_opaque,
+                             init_world)
 
-from scenes import full_frame_box, full_mask, scattered_scenes, touches_edge
+from scenes import (full_frame_box, full_mask, move_sequence,
+                    scattered_scenes, touches_edge)
 
 
 def scene(task="swap_cups", seed=0, **kw):
@@ -32,6 +36,109 @@ def test_camera_preserves_distance_ratios():
     want = math.hypot(0.4, 0.2) * cam.scale
     got = math.hypot(px[1, 0] - px[0, 0], px[1, 1] - px[0, 1])
     assert got == pytest.approx(want, rel=1e-12)
+
+
+def reference_rasterize(verts_px: np.ndarray) -> tuple:
+    """The per-edge whole-box even-odd rasterizer the scanline kernel
+    replaced: each edge toggles every pixel centre left of its crossing."""
+    cols = verts_px[:, 0]
+    rows = verts_px[:, 1]
+    c0 = int(math.floor(cols.min()))
+    c1 = int(math.ceil(cols.max()))
+    r0 = int(math.floor(rows.min()))
+    r1 = int(math.ceil(rows.max()))
+    width = max(c1 - c0, 1)
+    height = max(r1 - r0, 1)
+    px = c0 + 0.5 + np.arange(width, dtype=np.float64)[None, :]
+    py = r0 + 0.5 + np.arange(height, dtype=np.float64)[:, None]
+    inside = np.zeros((height, width), dtype=bool)
+    n = len(verts_px)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(n):
+            x1, y1 = verts_px[i]
+            x2, y2 = verts_px[(i + 1) % n]
+            straddles = (y1 <= py) != (y2 <= py)
+            if not straddles.any():
+                continue
+            t = (py - y1) / (y2 - y1)
+            crossing = straddles & (px < x1 + t * (x2 - x1))
+            inside ^= crossing
+    return inside, (r0, c0)
+
+
+def assert_same_raster(verts):
+    mask, origin = rasterize_polygon(verts)
+    want, want_origin = reference_rasterize(verts)
+    assert origin == want_origin
+    assert mask.dtype == want.dtype and mask.shape == want.shape
+    assert np.array_equal(mask, want)
+    return mask
+
+
+def _self_intersecting(verts: np.ndarray) -> bool:
+    """Whether two non-adjacent edges of the polygon properly cross."""
+    def orient(p, q, r):
+        return np.sign((q[0] - p[0]) * (r[1] - p[1])
+                       - (q[1] - p[1]) * (r[0] - p[0]))
+    n = len(verts)
+    for i in range(n):
+        a, b = verts[i], verts[(i + 1) % n]
+        for j in range(i + 2, n - (i == 0)):
+            c, d = verts[j], verts[(j + 1) % n]
+            if (orient(a, b, c) * orient(a, b, d) < 0
+                    and orient(c, d, a) * orient(c, d, b) < 0):
+                return True
+    return False
+
+
+def test_rasterize_matches_reference_on_random_polygons():
+    rng = np.random.default_rng(20261018)
+    seen = {"self_intersecting": 0, "vertex_on_centre": 0, "horizontal": 0,
+            "empty": 0}
+    for i in range(3000):
+        n = int(rng.integers(3, 13))
+        verts = rng.uniform(-15.0, 45.0, size=(n, 2))
+        if i % 4 == 1:  # vertices exactly on pixel centres
+            verts = np.floor(verts) + 0.5
+            seen["vertex_on_centre"] += 1
+        elif i % 4 == 2:  # edges along a row of pixel centres
+            verts[1, 1] = verts[0, 1] = math.floor(verts[0, 1]) + 0.5
+            seen["horizontal"] += 1
+        elif i % 4 == 3:  # thin slivers and near-degenerate shapes
+            verts[:, 0] = verts[0, 0] + rng.uniform(0.0, 1.5, size=n)
+        seen["self_intersecting"] += _self_intersecting(verts)
+        seen["empty"] += not assert_same_raster(verts).any()
+    assert min(seen.values()) > 0, seen
+
+
+def test_rasterize_matches_reference_on_episode_footprints(monkeypatch):
+    # every raster a few real episodes ask for, scattered poses included
+    calls = []
+
+    def recording(verts):
+        calls.append(np.array(verts))
+        return rasterize_polygon(verts)
+
+    monkeypatch.setattr(render, "rasterize_polygon", recording)
+    for task in ("swap_cups", "pnp_twice", "place_and_stack"):
+        for seed in (1, 2):
+            run_episode(perfect_config(task, distractors=8, vision="raw"), seed)
+    monkeypatch.undo()
+    for cfg, world, _ in scattered_scenes(20, seed=7):
+        for cam_cfg in cfg.cameras:
+            cam = CameraSpec.from_config(cam_cfg)
+            for obj in world.objects:
+                verts = np.array(obj.footprint) + [
+                    obj.x, obj.y - (obj.z_layer - 1) * cfg.geometry["lift_m"]]
+                calls.append(cam.world_to_px(verts))
+    seen = {"horizontal_edge": 0, "slanted_edge": 0, "past_frame_edge": 0}
+    for verts in calls:
+        assert_same_raster(verts)
+        dy = np.roll(verts[:, 1], -1) - verts[:, 1]
+        seen["horizontal_edge"] += bool((dy == 0).any())
+        seen["slanted_edge"] += bool((dy != 0).all())
+        seen["past_frame_edge"] += bool((verts < 0).any())
+    assert len(calls) > 500 and min(seen.values()) > 0, seen
 
 
 def test_rasterize_square_area():
@@ -187,3 +294,77 @@ def test_box_local_records_match_full_frame():
                 seen["first_row"] += box[0] == 0
                 seen["last_row"] += box[1] == h
     assert min(seen.values()) > 0, seen
+
+
+def _on_frame(obj, cam: CameraSpec, lift_m: float) -> bool:
+    """Whether the object's unclipped raster box meets the frame."""
+    verts = np.array(obj.footprint) + [obj.x, obj.y - (obj.z_layer - 1) * lift_m]
+    mask, (r0, c0) = rasterize_polygon(cam.world_to_px(verts))
+    w, h = cam.image_size
+    return (r0 < h and c0 < w and r0 + mask.shape[0] > 0
+            and c0 + mask.shape[1] > 0)
+
+
+def _status(world, obj, cam, lift_m, records) -> str:
+    if obj.id in records:
+        return "visible"
+    if hidden_inside_opaque(world, obj):
+        return "hidden"
+    return "occluded" if _on_frame(obj, cam, lift_m) else "off_frame"
+
+
+def test_incremental_render_matches_fresh_render():
+    # one Renderer carried through seeded move sequences against a fresh
+    # Renderer per frame: same label maps, records and regions
+    rng = np.random.default_rng(20261018)
+    seen = {"off_frame_and_back": 0, "hidden_and_revealed": 0,
+            "z_change": 0, "occluded_and_back": 0, "region_kept": 0}
+    for _ in range(12):
+        cfg, worlds = move_sequence(rng, 40)
+        lift = cfg.geometry["lift_m"]
+        cams = {c.view_id: CameraSpec.from_config(c) for c in cfg.cameras}
+        carried = Renderer(cfg.cameras, lift)
+        prev_world, prev_raw, status = None, None, {}
+        for world in worlds:
+            raw = carried.render(world)
+            fresh = Renderer(cfg.cameras, lift).render(world)
+            for view_id, view in raw.views.items():
+                want = fresh.views[view_id]
+                assert np.array_equal(view.label_map, want.label_map)
+                assert list(view.records) == list(want.records)
+                for oid, rec in view.records.items():
+                    a, b = rec.region, want.records[oid].region
+                    assert a.origin == b.origin
+                    assert np.array_equal(a.crop, b.crop)
+                    assert a.area == b.area and a.centroid == b.centroid
+                    assert rec.visible_fraction == \
+                        want.records[oid].visible_fraction
+                    if prev_raw is not None:
+                        old = prev_raw.views[view_id].records.get(oid)
+                        seen["region_kept"] += old is not None and \
+                            old.region is a
+                for obj in world.objects:
+                    now = _status(world, obj, cams[view_id], lift,
+                                  view.records)
+                    before = status.get((view_id, obj.id), "visible")
+                    if now == "visible" and before != "visible":
+                        seen[{"off_frame": "off_frame_and_back",
+                              "hidden": "hidden_and_revealed",
+                              "occluded": "occluded_and_back"}[before]] += 1
+                    status[(view_id, obj.id)] = now
+                    if (prev_world is not None and obj.id in view.records
+                            and obj.id in prev_raw.views[view_id].records):
+                        old = prev_world.get(obj.id)
+                        seen["z_change"] += (old.x, old.y) == (obj.x, obj.y) \
+                            and old.z_layer != obj.z_layer
+            prev_world, prev_raw = world, raw
+    assert min(seen.values()) > 0, seen
+
+
+def test_label_map_is_read_only():
+    cfg, world = scene("swap_cups", seed=0)
+    r = Renderer(cfg.cameras, cfg.geometry["lift_m"])
+    for raw in (r.render(world), r.render(world)):
+        for view in raw.views.values():
+            with pytest.raises(ValueError):
+                view.label_map[0, 0] = 1
