@@ -8,6 +8,7 @@ episode log headers, so a log is self-describing.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
 from typing import Any
 
@@ -74,6 +75,14 @@ class CameraConfig:
     rotation_deg: float
     center_px: tuple[float, float]
     look_at: tuple[float, float]
+
+    def to_px(self, x, y) -> tuple:
+        """World metres to pixel (col, row); floats or numpy arrays."""
+        th = math.radians(self.rotation_deg)
+        c, s = math.cos(th), math.sin(th)
+        dx, dy = x - self.look_at[0], y - self.look_at[1]
+        return (self.px_per_m * (c * dx - s * dy) + self.center_px[0],
+                self.px_per_m * (s * dx + c * dy) + self.center_px[1])
 
     def validate(self) -> None:
         w, h = self.image_size
@@ -171,7 +180,7 @@ class SceneConfig:
 
     def to_dict(self) -> dict[str, Any]:
         d = asdict(self)
-        d["cameras"] = [asdict(c) for c in self.cameras]
+        d["cameras"] = list(d["cameras"])
         return d
 
     @classmethod

@@ -228,6 +228,7 @@ class _Compiler:
         self.step_ids: dict = {}
         self.single_vars: set = set()
         self.all_vars: set = set()
+        self.done_refs: list = []  # (step id, line, col) of each (done ...)
 
     def program(self, sx) -> PlannerProgram:
         if not _is_form(sx, "policy"):
@@ -257,6 +258,11 @@ class _Compiler:
         if len(plan_sx[1]) < 2:
             raise ArityError("plan needs at least one step", *_pos(plan_sx))
         plan = tuple(self.builder(i, scope) for i in plan_sx[1][1:])
+        # (done ID) may name a step defined later, so check once all are known
+        for step_id, line, col in self.done_refs:
+            if step_id not in self.step_ids:
+                raise ParseError(f"(done {step_id}) references an unknown "
+                                 "step", line, col)
         return PlannerProgram(
             name=name, bindings=tuple(bindings), plan=plan,
             step_index=dict(self.step_ids),
@@ -418,7 +424,9 @@ class _Compiler:
         if head == "done":
             if len(items) != 2:
                 raise ArityError("done takes one step id", *_pos(sx))
-            return ("done", _expect_atom(items[1], "a step id"))
+            step_id = _expect_atom(items[1], "a step id")
+            self.done_refs.append((step_id, *_pos(sx)))
+            return ("done", step_id)
         if head in ("and", "or"):
             if len(items) < 2:
                 raise ArityError(f"{head} takes at least one predicate",
@@ -437,36 +445,7 @@ class _Compiler:
 
 def parse_program(text: str) -> PlannerProgram:
     """Parse and statically check a policy; all errors carry line/column."""
-    program = _Compiler().program(_read_all(text))
-    _check_done_ids(program)
-    return program
-
-
-def _check_done_ids(program: PlannerProgram) -> None:
-    known = set(program.step_index)
-
-    def walk(pred):
-        if pred[0] == "done" and pred[1] not in known:
-            raise ParseError(f"(done {pred[1]}) references an unknown step",
-                             1, 1)
-        if pred[0] in ("and", "or", "not"):
-            for p in pred[1:]:
-                walk(p)
-
-    def walk_items(items):
-        for item in items:
-            if isinstance(item, Step):
-                walk(item.goal)
-                for a in item.actions:
-                    walk(a.guard)
-            elif isinstance(item, If):
-                walk(item.pred)
-                walk_items(item.then_items)
-                walk_items(item.else_items)
-            else:
-                walk_items(item.body)
-
-    walk_items(program.plan)
+    return _Compiler().program(_read_all(text))
 
 
 def load_program(path) -> PlannerProgram:
@@ -572,21 +551,19 @@ def _bind_value(program: PlannerProgram, var: str, query: tuple, graph,
 
 
 def _expand(items, graph, env: dict) -> list:
+    """The plan's step ids: branches chosen, for-each loops unrolled."""
     out = []
     for item in items:
         if isinstance(item, Step):
-            out.append((item.step_id, item, env))
+            out.append(item.step_id)
         elif isinstance(item, If):
             branch = item.then_items if eval_predicate(item.pred, graph, env) \
                 else item.else_items
             out.extend(_expand(branch, graph, env))
         else:  # ForEach
             for nid in eval_query(item.query, graph, env):
-                inst_env = dict(env)
-                inst_env[item.var] = nid
-                for step in item.body:
-                    out.append((f"{step.step_id}@{item.var}={nid}", step,
-                                inst_env))
+                out.extend(f"{step.step_id}@{item.var}={nid}"
+                           for step in item.body)
     return out
 
 
@@ -640,8 +617,8 @@ def evaluate_policy(program: PlannerProgram, graph) -> PlannerOutput:
     """One planning call: (instruction, relevant node ids, done, step id).
 
     The first call evaluates bindings and expands the plan, caching both in
-    graph.task_memory; later calls reconstruct them from the records, so the
-    interpreter itself holds no state between calls.
+    graph.task_memory; every call, the first included, reconstructs them
+    from the records, so the interpreter itself holds no state between calls.
     """
     memory = graph.task_memory
     if not any(r.startswith("plan:") for r in memory):
@@ -650,10 +627,8 @@ def evaluate_policy(program: PlannerProgram, graph) -> PlannerOutput:
             value = _bind_value(program, var, query, graph, env)
             env[var] = value
             memory.append(_bind_record(var, value))
-        steps = _expand(program.plan, graph, env)
-        memory.append("plan:" + ";".join(sid for sid, _, _ in steps))
-    else:
-        steps = _restore(program, graph)
+        memory.append("plan:" + ";".join(_expand(program.plan, graph, env)))
+    steps = _restore(program, graph)
     _check_stale(graph, steps)
 
     done = {r[len("done:"):] for r in memory if r.startswith("done:")}

@@ -59,7 +59,6 @@ def parse_subtask(cue: str) -> tuple:
 @dataclass(frozen=True)
 class GroundedSubtask:
     verb: str
-    roles: tuple                  # role order, for deterministic error draws
     names: dict                   # role -> graph node name
     node_ids: dict                # role -> node id (pre mis-grounding)
     targets: dict                 # role -> simulator object id to act on
@@ -135,7 +134,7 @@ def ground_targets(graph: SemanticGraph, obs: MaskedObservation, rng: Rng,
             targets[role] = pool[rng.randrange(len(pool))]
             mis_grounded = role
 
-    return GroundedSubtask(verb=verb, roles=roles, names=names,
+    return GroundedSubtask(verb=verb, names=names,
                            node_ids=node_ids, targets=targets,
                            clutter=clutter, error_p=p,
                            mis_grounded=mis_grounded)
@@ -143,10 +142,8 @@ def ground_targets(graph: SemanticGraph, obs: MaskedObservation, rng: Rng,
 
 @dataclass(frozen=True)
 class ActionChunk:
-    verb: str
     primitives: tuple   # primitives actually executed (<= horizon)
     results: tuple      # PrimitiveResult for each, rejection stops the chunk
-    grounded: GroundedSubtask
     outcome: str        # "completed" | "rejected" | "mis_grounded"
 
 
@@ -183,6 +180,5 @@ def execute_chunk(tracker, grounded: GroundedSubtask, horizon: int) -> ActionChu
         outcome = "mis_grounded"
     else:
         outcome = "completed"
-    return ActionChunk(verb=grounded.verb, primitives=tuple(executed),
-                       results=tuple(results), grounded=grounded,
+    return ActionChunk(primitives=tuple(executed), results=tuple(results),
                        outcome=outcome)

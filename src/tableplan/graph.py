@@ -30,6 +30,7 @@ from .perception import (Detection, TaskSpec, cosine_distance,
                          identify_relevant, segment, track)
 from .region import HULL_PAD, Region
 from .rng import Rng
+from .world import ARM_CLASS
 
 NEAR_FRACTION = 0.12   # of the image diagonal
 CONTAIN_COVERAGE = 0.85
@@ -107,9 +108,9 @@ class SemanticGraph:
     def resolve(self, name: str) -> Optional[int]:
         return self.bindings.get(name)
 
-    def arm_node_id(self, arm_class: str = "arm") -> Optional[int]:
+    def arm_node_id(self) -> Optional[int]:
         for node in self.sorted_nodes():
-            if node.class_name == arm_class:
+            if node.class_name == ARM_CLASS:
                 return node.node_id
         return None
 
@@ -157,23 +158,26 @@ class SemanticGraph:
 # -- association: semantic stage ---------------------------------------------
 
 
-def associate_semantic(dets_a: list, dets_b: list, tau_vis: float) -> list:
-    """Greedy mutual-nearest feature matching; returns index pairs (i, j).
+def _mutual_nearest(cost: np.ndarray, tau: float) -> list:
+    """Index pairs (i, j) that are each other's row/column argmin with
+    cost < tau, in row order.
 
-    Ties resolve to the smaller detection index because argmin keeps the
-    first occurrence.
+    Ties resolve to the smaller index because argmin keeps the first
+    occurrence.
     """
+    best_j = cost.argmin(axis=1)
+    best_i = cost.argmin(axis=0)
+    return [(i, int(j)) for i, j in enumerate(best_j)
+            if best_i[j] == i and cost[i, j] < tau]
+
+
+def associate_semantic(dets_a: list, dets_b: list, tau_vis: float) -> list:
+    """Greedy mutual-nearest feature matching; returns index pairs (i, j)."""
     if not dets_a or not dets_b:
         return []
     cost = np.array([[cosine_distance(a.feature, b.feature) for b in dets_b]
                      for a in dets_a])
-    best_j = cost.argmin(axis=1)
-    best_i = cost.argmin(axis=0)
-    pairs = []
-    for i, j in enumerate(best_j):
-        if best_i[j] == i and cost[i, j] < tau_vis:
-            pairs.append((i, int(j)))
-    return pairs
+    return _mutual_nearest(cost, tau_vis)
 
 
 # -- association: geometric stage ---------------------------------------------
@@ -239,15 +243,8 @@ def associate_geometric(points_a: list, points_b: list, anchors_a: list,
         second = np.partition(row, 1)[1]
         return (second - row[best]) >= margin_geo
 
-    pairs = []
-    best_j = cost.argmin(axis=1)
-    best_i = cost.argmin(axis=0)
-    for i, j in enumerate(best_j):
-        if best_i[j] != i or not cost[i, j] < tau_geo:
-            continue
-        if margin_ok(cost[i, :], j) and margin_ok(cost[:, j], i):
-            pairs.append((i, int(j)))
-    return pairs
+    return [(i, j) for i, j in _mutual_nearest(cost, tau_geo)
+            if margin_ok(cost[i, :], j) and margin_ok(cost[:, j], i)]
 
 
 def associate(dets_by_view: dict, thresholds: AssocThresholds,
@@ -389,7 +386,14 @@ def _image_diags(raw_obs) -> dict:
             for v, obs in raw_obs.views.items()}
 
 
-def _rebuild_edges(graph: SemanticGraph, raw_obs, arm_class: str) -> None:
+def node_by_source(graph: SemanticGraph, source_id: int):
+    for node in graph.sorted_nodes():
+        if any(g.source_id == source_id for g in node.groundings.values()):
+            return node
+    return None
+
+
+def _rebuild_edges(graph: SemanticGraph, raw_obs) -> None:
     step = graph.step
     seen_nodes = [n for n in graph.sorted_nodes() if n.seen(step)]
     induced = induce_relations(_entries_for(seen_nodes, step), _image_diags(raw_obs))
@@ -413,15 +417,13 @@ def _rebuild_edges(graph: SemanticGraph, raw_obs, arm_class: str) -> None:
     # proprioception: the held object maps to a node or to no edge at all
     held = None
     if raw_obs.held_object_id is not None:
-        for node in graph.sorted_nodes():
-            if any(g.source_id == raw_obs.held_object_id
-                   for g in node.groundings.values()):
-                held = node.node_id
-                break
+        held_node = node_by_source(graph, raw_obs.held_object_id)
+        if held_node is not None:
+            held = held_node.node_id
     graph.gripper_free = raw_obs.gripper_free
     graph.held_node = held
     if held is not None:
-        arm = graph.arm_node_id(arm_class)
+        arm = graph.arm_node_id()
         if arm is not None:
             new[(arm, held, "holding")] = old.get((arm, held, "holding"), step)
         for key in list(new):
@@ -438,13 +440,6 @@ def _rebuild_edges(graph: SemanticGraph, raw_obs, arm_class: str) -> None:
         if rel in ("in", "on") and parent[(src, rel)] != dst:
             del new[key]
     graph.edges = new
-
-
-def node_by_source(graph: SemanticGraph, source_id: int):
-    for node in graph.sorted_nodes():
-        if any(g.source_id == source_id for g in node.groundings.values()):
-            return node
-    return None
 
 
 def apply_action_feedback(graph: SemanticGraph, rel: str, moved_source: int,
@@ -495,14 +490,10 @@ def _spawn_nodes(graph: SemanticGraph, pairs, singles, no_anchor_flag, step):
 def init_graph(raw_obs, task_spec: TaskSpec, thresholds: AssocThresholds,
                noise: NoiseConfig = NoiseConfig(),
                rng: Optional[Rng] = None) -> SemanticGraph:
-    """Bootstrap the graph from the first observation."""
-    rng = rng or Rng.substream(0, "perception")
-    graph = SemanticGraph(step=raw_obs.step)
-    dets = identify_relevant(segment(raw_obs, noise, rng), task_spec)
-    pairs, singles, no_anchor_flag = associate(dets, thresholds)
-    _spawn_nodes(graph, pairs, singles, no_anchor_flag, raw_obs.step)
-    _rebuild_edges(graph, raw_obs, task_spec.robot_arm_class)
-    return graph
+    """Bootstrap the graph from the first observation: an update of the
+    empty graph, which has nothing to track, merge into, or anchor on."""
+    return update_graph(SemanticGraph(), raw_obs, task_spec, thresholds,
+                        noise, rng)
 
 
 def update_graph(graph: SemanticGraph, raw_obs, task_spec: TaskSpec,
@@ -554,7 +545,7 @@ def update_graph(graph: SemanticGraph, raw_obs, task_spec: TaskSpec,
     pairs, singles, no_anchor_flag = associate(
         leftovers, thresholds, node_anchors=_node_anchor_map(graph, step))
     _spawn_nodes(graph, pairs, singles, no_anchor_flag, step)
-    _rebuild_edges(graph, raw_obs, task_spec.robot_arm_class)
+    _rebuild_edges(graph, raw_obs)
     if action_feedback is not None:
         apply_action_feedback(graph, *action_feedback)
     return graph

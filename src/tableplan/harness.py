@@ -344,7 +344,7 @@ def run_episode(cfg: SceneConfig, seed: int, log_path=None,
                                   "correct": decision_sid == actual}
 
         relevant = set(out.relevant_objects)
-        arm_id = plan_graph.arm_node_id(task_spec.robot_arm_class)
+        arm_id = plan_graph.arm_node_id()
         if arm_id is not None:
             relevant.add(arm_id)
         if cfg.vision == "masked":

@@ -65,18 +65,9 @@ class TaskSpec:
     task_id: str
     instruction: str
     relevant_classes: frozenset
-    relevant_attribute_filters: tuple = ()  # ((class, key, value), ...)
-    robot_arm_class: str = ARM_CLASS
 
-    def admits(self, class_name: str, attributes: dict) -> bool:
-        if class_name == self.robot_arm_class:
-            return True
-        if class_name not in self.relevant_classes:
-            return False
-        for cls, key, value in self.relevant_attribute_filters:
-            if cls == class_name and attributes.get(key) != value:
-                return False
-        return True
+    def admits(self, class_name: str) -> bool:
+        return class_name == ARM_CLASS or class_name in self.relevant_classes
 
 
 def make_task_spec(task: str, variant: str = "black",
@@ -149,7 +140,7 @@ def identify_relevant(detections: dict, task_spec: TaskSpec) -> dict:
     for view_id in sorted(detections):
         kept = []
         for det in detections[view_id]:
-            if not task_spec.admits(det.class_name, det.attributes):
+            if not task_spec.admits(det.class_name):
                 continue
             kept.append(det)
         out[view_id] = kept

@@ -24,39 +24,6 @@ from .region import Region
 from .world import WorldState, hidden_inside_opaque
 
 
-@dataclass(frozen=True)
-class CameraSpec:
-    view_id: str
-    image_size: tuple  # (width, height)
-    scale: float
-    rotation: float  # radians
-    center_px: tuple
-    look_at: tuple
-
-    @classmethod
-    def from_config(cls, cfg: CameraConfig) -> "CameraSpec":
-        return cls(cfg.view_id, tuple(cfg.image_size), float(cfg.px_per_m),
-                   math.radians(cfg.rotation_deg), tuple(cfg.center_px),
-                   tuple(cfg.look_at))
-
-    def world_to_px(self, pts: np.ndarray) -> np.ndarray:
-        """Map (N, 2) world metres to (N, 2) pixel (col, row) floats."""
-        c, s = math.cos(self.rotation), math.sin(self.rotation)
-        dx = pts[:, 0] - self.look_at[0]
-        dy = pts[:, 1] - self.look_at[1]
-        col = self.scale * (c * dx - s * dy) + self.center_px[0]
-        row = self.scale * (s * dx + c * dy) + self.center_px[1]
-        return np.stack([col, row], axis=1)
-
-    def px_to_world(self, pts: np.ndarray) -> np.ndarray:
-        c, s = math.cos(-self.rotation), math.sin(-self.rotation)
-        dx = (pts[:, 0] - self.center_px[0]) / self.scale
-        dy = (pts[:, 1] - self.center_px[1]) / self.scale
-        x = (c * dx - s * dy) + self.look_at[0]
-        y = (s * dx + c * dy) + self.look_at[1]
-        return np.stack([x, y], axis=1)
-
-
 def rasterize_polygon(verts_px: np.ndarray) -> tuple:
     """Even-odd rasterization against pixel centres.
 
@@ -157,8 +124,7 @@ class Renderer:
     """
 
     def __init__(self, cameras, lift_m: float):
-        self.cameras = [c if isinstance(c, CameraSpec) else CameraSpec.from_config(c)
-                        for c in cameras]
+        self.cameras = list(cameras)
         self.lift_m = lift_m
         self._cache: dict = {}
         self._views = {}
@@ -167,7 +133,7 @@ class Renderer:
             self._views[cam.view_id] = _ViewState(
                 np.zeros((h, w), dtype=np.int32), {}, {})
 
-    def _raster(self, obj, cam: CameraSpec) -> tuple:
+    def _raster(self, obj, cam: CameraConfig) -> tuple:
         """(raster key, (mask, (row0, col0), footprint area))."""
         key = (obj.id, obj.x, obj.y, obj.z_layer, cam.view_id)
         hit = self._cache.get(key)
@@ -175,7 +141,8 @@ class Renderer:
             verts = np.array(obj.footprint, dtype=np.float64)
             lifted_y = obj.y - (obj.z_layer - 1) * self.lift_m
             world_pts = verts + np.array([obj.x, lifted_y])
-            mask, origin = rasterize_polygon(cam.world_to_px(world_pts))
+            px = np.stack(cam.to_px(world_pts[:, 0], world_pts[:, 1]), axis=1)
+            mask, origin = rasterize_polygon(px)
             hit = (mask, origin, int(mask.sum()))
             self._cache[key] = hit
         return key, hit
@@ -192,7 +159,7 @@ class Renderer:
         )
 
     def _render_view(self, world: WorldState, drawable: list,
-                     cam: CameraSpec) -> ViewObservation:
+                     cam: CameraConfig) -> ViewObservation:
         prev = self._views[cam.view_id]
         h, w = prev.label.shape
         painted = {}  # object id -> (raster key, clipped box)
@@ -256,6 +223,6 @@ class Renderer:
         return ViewObservation(cam.view_id, cam.image_size, label, records)
 
 
-def render_views(world: WorldState, cameras, lift_m: float = 0.03) -> RawObservation:
+def render_views(world: WorldState, cameras, lift_m: float) -> RawObservation:
     """One-shot render without a persistent cache."""
     return Renderer(cameras, lift_m).render(world)

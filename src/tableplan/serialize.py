@@ -13,6 +13,7 @@ import json
 import numpy as np
 
 from .graph import GraphNode, Grounding, SemanticGraph
+from .perception import FEATURE_DIM
 from .region import Region
 
 
@@ -142,7 +143,8 @@ def graph_from_snapshot(snapshot: dict) -> SemanticGraph:
         node = GraphNode(
             node_id=int(rec["id"]), name=rec["name"], class_name=rec["class"],
             attributes=dict(rec["attributes"]),
-            feature=np.zeros(16, dtype=np.float64), groundings=groundings,
+            feature=np.zeros(FEATURE_DIM, dtype=np.float64),
+            groundings=groundings,
             first_seen_step=int(rec["first_seen"]),
             last_seen_step=int(rec["last_seen"]),
             flags=tuple(rec["flags"]))

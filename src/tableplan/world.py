@@ -115,9 +115,6 @@ class WorldState:
                 return obj
         raise UnknownObject(f"no object with id {object_id}")
 
-    def has(self, object_id: int) -> bool:
-        return any(o.id == object_id for o in self.objects)
-
     def children_of(self, object_id: int) -> list:
         return [o for o in self.objects
                 if o.container_of == object_id or o.support_of == object_id]
@@ -272,11 +269,7 @@ def _frame_fits(cameras, x, y, z, radius, lift_m) -> bool:
     """True when a bounding circle at (x, y, z) renders fully inside every view."""
     ly = y - (z - 1) * lift_m
     for cam in cameras:
-        th = math.radians(cam.rotation_deg)
-        c, s = math.cos(th), math.sin(th)
-        dx, dy = x - cam.look_at[0], ly - cam.look_at[1]
-        col = cam.px_per_m * (c * dx - s * dy) + cam.center_px[0]
-        row = cam.px_per_m * (s * dx + c * dy) + cam.center_px[1]
+        col, row = cam.to_px(x, ly)
         pad = radius * cam.px_per_m + _FRAME_PAD_PX
         w, h = cam.image_size
         if not (pad <= col <= w - pad and pad <= row <= h - pad):

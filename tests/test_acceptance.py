@@ -209,7 +209,7 @@ def test_07_relation_oracle_equivalence():
                         for n in g.sorted_nodes()}
             got = {(node_src[a], node_src[b], rel) for (a, b, rel) in g.edges}
             relevant = {o.id for o in world.objects
-                        if spec.admits(o.class_name, dict(o.attributes))}
+                        if spec.admits(o.class_name)}
             want = {t for t in ground_truth_relations(world, cfg.near_threshold_m)
                     if t[0] in relevant and t[1] in relevant}
             assert got == want, (task, seed)

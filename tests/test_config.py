@@ -1,13 +1,18 @@
 import json
 import math
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
 from tableplan.config import (DEFAULT_CAMERAS, DEFAULT_EXECUTOR_ERROR,
-                              DEFAULT_NOISE, AssocThresholds, CameraConfig,
-                              ConfigError, GroundingErrorModel, NoiseConfig,
-                              SceneConfig, perfect_config)
-from tableplan.serialize import canonical_json
+                              DEFAULT_NOISE, TASKS, AssocThresholds,
+                              CameraConfig, ConfigError, GroundingErrorModel,
+                              NoiseConfig, SceneConfig, default_noise_config,
+                              perfect_config)
+from tableplan.serialize import canonical_json, config_hash
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_defaults_validate():
@@ -166,3 +171,27 @@ def test_perfect_config():
 def test_thresholds_defaults():
     t = AssocThresholds()
     assert (t.tau_vis, t.tau_geo, t.margin_geo) == (0.15, 0.10, 0.05)
+
+
+def reference_to_dict(cfg: SceneConfig) -> dict:
+    """to_dict as it was, converting the cameras a second time."""
+    d = asdict(cfg)
+    d["cameras"] = [asdict(c) for c in cfg.cameras]
+    return d
+
+
+def test_to_dict_and_hash_match_the_reference():
+    bundled = sorted(CONFIGS.glob("*.json"))
+    assert bundled
+    cfgs = [SceneConfig.load(p) for p in bundled]
+    custom = {"custom_objects": ({"class": "cube", "color": "red"},)}
+    for task in TASKS:
+        kw = custom if task == "custom" else {}
+        cfgs += [perfect_config(task, **kw), default_noise_config(task, **kw)]
+    for cfg in cfgs:
+        want = reference_to_dict(cfg)
+        got = cfg.to_dict()
+        assert got == want
+        assert type(got["cameras"]) is list
+        assert canonical_json(got) == canonical_json(want)
+        assert config_hash(got) == config_hash(want)

@@ -4,7 +4,8 @@ import pytest
 
 import tableplan
 from tableplan.config import SceneConfig
-from tableplan.dsl import (AmbiguousBinding, ArityError, ParseError,
+from tableplan import dsl
+from tableplan.dsl import (AmbiguousBinding, ArityError, ParseError, PlanError,
                            PlannerOutput, StaleNode, UnboundVariable,
                            UnknownForm, evaluate_policy, load_program,
                            parse_program)
@@ -55,7 +56,9 @@ ERROR_CASES = [
     (prog(say='"{ghost}"'), ParseError,
      "template hole {ghost} is not a bound variable", 5, 25),
     (prog(goal="(done missing)"), ParseError,
-     "(done missing) references an unknown step", 1, 1),
+     "(done missing) references an unknown step", 4, 19),
+    (prog(goal="(and (true) (not (done missing)))"), ParseError,
+     "(done missing) references an unknown step", 4, 36),
 ]
 
 
@@ -67,6 +70,16 @@ def test_parse_error_positions(text, etype, reason, line, col):
     assert err.reason == reason
     assert (err.line, err.col) == (line, col)
     assert str(err) == f"line {line}, col {col}: {reason}"
+
+
+def test_done_may_name_a_later_step():
+    program = parse_program(
+        '(policy p (bind c (objects :class "cup"))\n'
+        '  (plan (step a (goal (done b))\n'
+        '          (when (true) (say "x") (focus c)))\n'
+        '        (step b (goal (true))\n'
+        '          (when (true) (say "y") (focus c)))))')
+    assert list(program.step_index) == ["a", "b"]
 
 
 def test_final_action_must_be_unconditional():
@@ -365,3 +378,136 @@ def test_bind_record_list_form_round_trip():
     assert f"bind:cups=[{black},{blue}]" in g.task_memory
     assert out.relevant_objects == frozenset({black, blue})
     assert evaluate_policy(program, g) == out
+
+
+# -- one step source: the first call restores its steps like every later one ------
+
+
+def reference_expand(items, graph, env):
+    """_expand as it was when the first call ran its steps from it."""
+    out = []
+    for item in items:
+        if isinstance(item, dsl.Step):
+            out.append((item.step_id, item, env))
+        elif isinstance(item, dsl.If):
+            branch = item.then_items \
+                if dsl.eval_predicate(item.pred, graph, env) else item.else_items
+            out.extend(reference_expand(branch, graph, env))
+        else:
+            for nid in dsl.eval_query(item.query, graph, env):
+                inst_env = dict(env)
+                inst_env[item.var] = nid
+                for step in item.body:
+                    out.append((f"{step.step_id}@{item.var}={nid}", step,
+                                inst_env))
+    return out
+
+
+def reference_first_call(program, graph):
+    """evaluate_policy's first call when it took its steps from the
+    expansion instead of restoring them from task memory."""
+    memory = graph.task_memory
+    env = {}
+    for var, query in program.bindings:
+        value = dsl._bind_value(program, var, query, graph, env)
+        env[var] = value
+        memory.append(dsl._bind_record(var, value))
+    steps = reference_expand(program.plan, graph, env)
+    memory.append("plan:" + ";".join(sid for sid, _, _ in steps))
+    dsl._check_stale(graph, steps)
+    done = {r[len("done:"):] for r in memory if r.startswith("done:")}
+    for sid, step, env in steps:
+        if sid in done:
+            continue
+        if dsl.eval_predicate(step.goal, graph, env):
+            memory.append("done:" + sid)
+            done.add(sid)
+            continue
+        for action in step.actions:
+            if not dsl.eval_predicate(action.guard, graph, env):
+                continue
+            focus = set()
+            for var in action.focus:
+                value = env[var]
+                focus.update(value if isinstance(value, tuple) else (value,))
+            return PlannerOutput(
+                subtask_instruction=dsl._instantiate(action.template, graph,
+                                                     env),
+                relevant_objects=frozenset(focus), done=False,
+                emitted_step=sid)
+    return PlannerOutput(subtask_instruction="", relevant_objects=frozenset(),
+                         done=True, emitted_step=None)
+
+
+NESTED = """\
+(policy nested
+  (bind cubes (objects :class "cube"))
+  (bind plates (objects :class "plate"))
+  (bind none (other (objects :class "plate") plates))
+  (plan
+    (if (and (hand-empty) (not (done later)))
+      ((for-each p (objects :class "plate")
+         (step visit (goal (or (in cubes p) (done later)))
+           (when (true) (say "look at the {p}") (focus p plates)))
+         (step hold (goal (not (hand-empty)))
+           (when (hand-empty) (say "wave") (focus p none))
+           (when (true) (say "rest") (focus plates))))
+       (step later (goal (true))
+         (when (true) (say "done") (focus plates))))
+      ((step grip (goal (hand-empty))
+         (when (true) (say "release") (focus cubes plates)))))
+    (for-each c (objects :class "cup")
+      (step tap (goal (done tap))
+        (when (true) (say "tap the {c}") (focus c))))))
+"""
+
+BRANCHY = """\
+(policy branchy
+  (bind cups (objects :class "cup"))
+  (plan
+    (if (hand-empty)
+      ((step greet (goal (hand-empty))
+         (when (true) (say "wave") (focus cups))))
+      ((step rest (goal (done rest))
+         (when (true) (say "rest") (focus cups)))))
+    (for-each c (objects :class "cup")
+      (step tap (goal (done tap))
+        (when (true) (say "tap the {c}") (focus c))))))
+"""
+
+
+def _first_call(call, program, graph):
+    graph.task_memory = []
+    try:
+        out = call(program, graph)
+    except PlanError as exc:
+        return type(exc), str(exc), list(graph.task_memory)
+    return out, list(graph.task_memory)
+
+
+def test_first_call_matches_expansion_env():
+    programs = [parse_program(NESTED), parse_program(BRANCHY)]
+    programs += [load_program(p) for p in sorted(PLANS.glob("*.plan"))]
+    seen = {"for_each": 0, "then": 0, "else": 0, "done_first": 0,
+            "error": 0, "emitted": 0}
+    for task in ("pnp_twice", "place_and_stack", "swap_cups"):
+        for seed in range(4):
+            cfg, world, raw, g, spec = scene_graph(task, seed)
+            for gripper_free in (True, False):
+                g.gripper_free = gripper_free
+                for program in programs:
+                    got = _first_call(evaluate_policy, program, g)
+                    want = _first_call(reference_first_call, program, g)
+                    assert got == want
+                    plan = [r for r in want[-1] if r.startswith("plan:")]
+                    seen["error"] += not plan
+                    if not plan:
+                        continue
+                    ids = plan[0][len("plan:"):].split(";")
+                    seen["for_each"] += any("@" in sid for sid in ids)
+                    seen["then"] += bool({"greet", "later"} & set(ids))
+                    seen["else"] += bool({"rest", "grip"} & set(ids))
+                    seen["done_first"] += any(r.startswith("done:")
+                                              for r in want[-1])
+                    seen["emitted"] += want[0].emitted_step is not None
+    assert min(seen.values()) > 0, seen

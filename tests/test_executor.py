@@ -199,8 +199,7 @@ def test_chunk_primitives_shapes():
 
 
 def grounded_pick(g, target_src, mis=None):
-    return GroundedSubtask(verb="pick", roles=("target",),
-                           names={"target": "black_cup"},
+    return GroundedSubtask(verb="pick", names={"target": "black_cup"},
                            node_ids={"target": g.resolve("black_cup")},
                            targets={"target": target_src}, clutter=0,
                            error_p=0.0, mis_grounded=mis)

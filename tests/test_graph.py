@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,25 +7,30 @@ import pytest
 from scipy import ndimage
 
 from oracles import HAND_ANCHORS, HAND_POINT, HAND_SIGNATURE
-from scenes import (full_frame_box, full_mask, graph_and_drifted_tracks,
-                    scattered_scenes)
+from scenes import (SEQUENCE_OBJECTS, full_frame_box, full_mask,
+                    graph_and_drifted_tracks, scattered_scenes)
 from tableplan import harness
 from tableplan.config import (AssocThresholds, NoiseConfig, SceneConfig,
                               perfect_config)
+from tableplan import graph as graph_mod
 from tableplan.graph import (CONTAIN_COVERAGE, NEAR_FRACTION,
                              SUPPORT_CONTACT_PX,
-                             NoAnchors, SemanticGraph, _rebuild_edges,
+                             NoAnchors, SemanticGraph, _mutual_nearest,
+                             _rebuild_edges, _spawn_nodes,
                              apply_action_feedback, associate,
                              associate_geometric, associate_semantic,
                              distance_signature, induce_relations,
                              init_graph, node_by_source, signature_distance,
                              update_graph, Grounding)
-from tableplan.perception import Detection, base_feature, make_task_spec
+from tableplan.perception import (Detection, base_feature, identify_relevant,
+                                  make_task_spec, segment)
 from tableplan.region import CONTAIN_DILATE_PX, Region
 from tableplan.render import Renderer, render_views
 from tableplan.rng import Rng
-from tableplan.world import (DISTRACTOR_CLASSES, Primitive, apply_primitive,
-                             ground_truth_relations, init_world)
+from tableplan.serialize import canonical_json, graph_to_snapshot
+from tableplan.world import (DISTRACTOR_CLASSES, LayoutInfeasible, Primitive,
+                             apply_primitive, ground_truth_relations,
+                             init_world)
 
 THRESH = AssocThresholds()
 
@@ -162,7 +168,7 @@ def test_associate_identity_on_clean_scenes():
         # every relevant object becomes exactly one node grounded in both views
         spec = make_task_spec("swap_cups")
         want = {o.id for o in world.objects
-                if spec.admits(o.class_name, dict(o.attributes))}
+                if spec.admits(o.class_name)}
         by_source = {}
         for node in g.sorted_nodes():
             srcs = {gr.source_id for gr in node.groundings.values()}
@@ -223,7 +229,7 @@ def test_relations_match_oracle_on_initial_scenes():
                    for (a, b, rel) in g.edges}
             spec = make_task_spec(task)
             relevant = {o.id for o in world.objects
-                        if spec.admits(o.class_name, dict(o.attributes))}
+                        if spec.admits(o.class_name)}
             want = {(a, b, rel)
                     for (a, b, rel) in ground_truth_relations(world, 0.15)
                     if a in relevant and b in relevant}
@@ -600,7 +606,7 @@ def test_unique_parent_filter():
                    {"v": grounding}, 0)
     raw = SimpleNamespace(views={"v": SimpleNamespace(image_size=(80, 80))},
                           gripper_free=True, held_object_id=None)
-    _rebuild_edges(g, raw, "arm")
+    _rebuild_edges(g, raw)
     in_parents = [dst for (src, dst, rel) in g.edges
                   if src == 1 and rel == "in"]
     assert in_parents == [2]  # the smaller (inner) parent wins
@@ -654,4 +660,180 @@ def test_box_local_mask_work_matches_full_frame():
                 got = region.iou(other)
                 assert got == iou_ref(mask, full_mask(other))
                 seen["overlap" if got else "disjoint"] += 1
+    assert min(seen.values()) > 0, seen
+
+
+# -- one mutual-nearest selection for both association stages -------------------
+
+
+def reference_semantic_select(cost, tau_vis):
+    """The selection loop associate_semantic ran before _mutual_nearest."""
+    best_j = cost.argmin(axis=1)
+    best_i = cost.argmin(axis=0)
+    pairs = []
+    for i, j in enumerate(best_j):
+        if best_i[j] == i and cost[i, j] < tau_vis:
+            pairs.append((i, int(j)))
+    return pairs
+
+
+def reference_geometric_select(cost, tau_geo, margin_geo):
+    """The selection loop associate_geometric ran before _mutual_nearest."""
+
+    def margin_ok(row, best):
+        if row.size < 2:
+            return True
+        second = np.partition(row, 1)[1]
+        return (second - row[best]) >= margin_geo
+
+    pairs = []
+    best_j = cost.argmin(axis=1)
+    best_i = cost.argmin(axis=0)
+    for i, j in enumerate(best_j):
+        if best_i[j] != i or not cost[i, j] < tau_geo:
+            continue
+        if margin_ok(cost[i, :], j) and margin_ok(cost[:, j], i):
+            pairs.append((i, int(j)))
+    return pairs
+
+
+def random_costs(rng, count):
+    """Cost matrices of 1-6 rows and columns on a coarse grid (so rows and
+    columns tie), with inf and NaN entries in some."""
+    for _ in range(count):
+        n, m = (int(v) for v in rng.integers(1, 7, size=2))
+        cost = rng.integers(0, 5, size=(n, m)) / 8.0
+        for bad in (math.inf, math.nan):
+            if rng.random() < 0.3:
+                cost[rng.random((n, m)) < 0.2] = bad
+        yield cost
+
+
+def test_mutual_nearest_matches_both_old_selections(monkeypatch):
+    # the semantic stage is _mutual_nearest alone; the geometric stage feeds
+    # its signature costs through _mutual_nearest and then the margin test
+    rng = np.random.default_rng(20261018)
+    seen = {"tie": 0, "inf": 0, "nan": 0, "pair": 0, "margin_cut": 0}
+    for cost in random_costs(rng, 3000):
+        tau = float(rng.choice([0.2, 0.5, 1.0, math.inf]))
+        margin = float(rng.choice([0.0, 0.125, 0.25]))
+        want = reference_semantic_select(cost, tau)
+        assert _mutual_nearest(cost, tau) == want
+        assert all(type(i) is int and type(j) is int for i, j in want)
+
+        flat = iter(cost.ravel().tolist())
+        monkeypatch.setattr(graph_mod, "signature_distance",
+                            lambda *_: next(flat))
+        n, m = cost.shape
+        got = associate_geometric(
+            [(0.0, float(i)) for i in range(n)],
+            [(0.0, float(j)) for j in range(m)],
+            [(1.0, 1.0)], [(1.0, 1.0)], ["p"], ["p"], 1, tau, margin)
+        assert got == reference_geometric_select(cost, tau, margin)
+
+        seen["tie"] += len(set(cost.ravel().tolist())) < cost.size
+        seen["inf"] += bool(np.isinf(cost).any())
+        seen["nan"] += bool(np.isnan(cost).any())
+        seen["pair"] += bool(want)
+        seen["margin_cut"] += len(got) < len(want)
+    assert min(seen.values()) > 0, seen
+
+
+def test_associate_semantic_matches_old_loop():
+    rng = np.random.default_rng(7)
+    seen = 0
+    for _ in range(300):
+        feats = [base_feature(int(s)) for s in rng.integers(0, 12, size=8)]
+        n, m = (int(v) for v in rng.integers(1, 5, size=2))
+        a = [fake_det("v1", k, f) for k, f in enumerate(feats[:n])]
+        b = [fake_det("v2", k, f) for k, f in enumerate(feats[4:4 + m])]
+        cost = np.array([[1.0 - float(np.dot(x.feature, y.feature))
+                          for y in b] for x in a])
+        want = reference_semantic_select(cost, THRESH.tau_vis)
+        assert associate_semantic(a, b, THRESH.tau_vis) == want
+        seen += bool(want)
+    assert seen > 0
+
+
+# -- one bootstrap: init_graph is an update of the empty graph -------------------
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def eager_init_graph(raw_obs, task_spec, thresholds, noise, rng):
+    """init_graph as a separate bootstrap, before it became an update of
+    the empty graph."""
+    graph = SemanticGraph(step=raw_obs.step)
+    dets = identify_relevant(segment(raw_obs, noise, rng), task_spec)
+    pairs, singles, no_anchor_flag = associate(dets, thresholds)
+    _spawn_nodes(graph, pairs, singles, no_anchor_flag, raw_obs.step)
+    _rebuild_edges(graph, raw_obs)
+    return graph
+
+
+def scanned_held_node(graph, held_object_id):
+    """The held-node scan _rebuild_edges ran before it called node_by_source."""
+    if held_object_id is not None:
+        for node in graph.sorted_nodes():
+            if any(g.source_id == held_object_id
+                   for g in node.groundings.values()):
+                return node.node_id
+    return None
+
+
+def bootstrap_frames():
+    """(cfg, spec, raw, seed): seeded first frames of perfect, noisy, raw
+    8-distractor and custom scenes, and each scene again with an object in
+    the gripper."""
+    cfgs = [perfect_config(t) for t in ("pnp_twice", "place_and_stack",
+                                        "swap_cups")]
+    cfgs += [SceneConfig.load(CONFIGS / name)
+             for name in ("swap_noisy.json", "cluttered_raw.json")]
+    cfgs.append(SceneConfig(task="custom", custom_objects=SEQUENCE_OBJECTS))
+    for cfg in cfgs:
+        spec = make_task_spec(cfg.task, cfg.variant, custom_classes=tuple(
+            o["class"] for o in cfg.custom_objects))
+        for seed in range(12):
+            try:
+                world = init_world(cfg, seed)
+            except LayoutInfeasible:
+                continue
+            renderer = Renderer(cfg.cameras, cfg.geometry["lift_m"])
+            yield cfg, spec, renderer.render(world), seed
+            pickable = [o for o in world.objects if o.class_name != "arm"
+                        and not world.children_of(o.id)]
+            pick = Primitive(kind="pick",
+                             target=pickable[seed % len(pickable)].id)
+            world, result = apply_primitive(world, pick)
+            assert result.ok
+            yield cfg, spec, renderer.render(world), seed
+
+
+def test_init_graph_matches_eager_bootstrap():
+    seen = {"noise_draws": 0, "held_node": 0, "held_unmapped": 0,
+            "pairs": 0, "single_view": 0, "frames": 0}
+    for cfg, spec, raw, seed in bootstrap_frames():
+        got_rng = Rng.substream(seed, "perception")
+        want_rng = Rng.substream(seed, "perception")
+        got = init_graph(raw, spec, cfg.thresholds, cfg.perception_noise,
+                         got_rng)
+        want = eager_init_graph(raw, spec, cfg.thresholds,
+                                cfg.perception_noise, want_rng)
+        assert canonical_json(graph_to_snapshot(got)) == \
+            canonical_json(graph_to_snapshot(want))
+        assert got_rng.getstate() == want_rng.getstate()
+        assert (got.next_node_id, got.bindings) == \
+            (want.next_node_id, want.bindings)
+        assert [n.feature.tobytes() for n in got.sorted_nodes()] == \
+            [n.feature.tobytes() for n in want.sorted_nodes()]
+        assert got.held_node == scanned_held_node(got, raw.held_object_id)
+
+        fresh = Rng.substream(seed, "perception").getstate()
+        seen["noise_draws"] += got_rng.getstate() != fresh
+        seen["held_node"] += got.held_node is not None
+        seen["held_unmapped"] += (raw.held_object_id is not None
+                                  and got.held_node is None)
+        seen["pairs"] += any(len(n.groundings) == 2 for n in got.nodes.values())
+        seen["single_view"] += any(n.flags for n in got.nodes.values())
+        seen["frames"] += 1
     assert min(seen.values()) > 0, seen

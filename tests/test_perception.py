@@ -54,25 +54,17 @@ def test_perturbed_feature_statistics():
 
 def test_task_specs():
     spec = make_task_spec("pnp_twice")
-    assert spec.admits("cube", {}) and spec.admits("plate", {})
-    assert not spec.admits("cup", {})
-    assert spec.admits("arm", {})  # the arm always passes
+    assert spec.admits("cube") and spec.admits("plate")
+    assert not spec.admits("cup")
+    assert spec.admits("arm")  # the arm always passes
 
     spec = make_task_spec("swap_cups", "blue")
     assert "blue" in spec.instruction
 
     spec = make_task_spec("custom", custom_classes=("bottle",))
-    assert spec.admits("bottle", {}) and not spec.admits("cube", {})
+    assert spec.admits("bottle") and not spec.admits("cube")
     with pytest.raises(ValueError):
         make_task_spec("juggling")
-
-
-def test_attribute_filters():
-    from tableplan.perception import TaskSpec
-    spec = TaskSpec("t", "i", frozenset({"cup"}),
-                    relevant_attribute_filters=(("cup", "color", "red"),))
-    assert spec.admits("cup", {"color": "red"})
-    assert not spec.admits("cup", {"color": "blue"})
 
 
 def test_segment_noise_free():

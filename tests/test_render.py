@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from tableplan import render
-from tableplan.config import DEFAULT_CAMERAS, SceneConfig, perfect_config
+from tableplan import render, world as world_mod
+from tableplan.config import (DEFAULT_CAMERAS, CameraConfig, SceneConfig,
+                              perfect_config)
 from tableplan.harness import run_episode
-from tableplan.render import (CameraSpec, Renderer, rasterize_polygon,
-                              render_views)
+from tableplan.render import Renderer, rasterize_polygon, render_views
 from tableplan.world import (Primitive, apply_primitive, hidden_inside_opaque,
                              init_world)
 
@@ -21,21 +21,95 @@ def scene(task="swap_cups", seed=0, **kw):
     return cfg, init_world(cfg, seed)
 
 
-def test_camera_transform_roundtrip():
-    cam = CameraSpec.from_config(DEFAULT_CAMERAS[1])  # the rotated wrist view
-    pts = np.array([[0.1, 0.2], [0.9, 0.7], [0.5, 0.375]])
-    back = cam.px_to_world(cam.world_to_px(pts))
-    assert np.allclose(back, pts, atol=1e-12)
+def project(cam, pts: np.ndarray) -> np.ndarray:
+    """(N, 2) world metres to (N, 2) pixel (col, row) floats."""
+    return np.stack(cam.to_px(pts[:, 0], pts[:, 1]), axis=1)
 
 
 def test_camera_preserves_distance_ratios():
     # similarity transform: pixel distances are world distances * px_per_m
-    cam = CameraSpec.from_config(DEFAULT_CAMERAS[1])
-    a = np.array([[0.2, 0.3], [0.6, 0.5]])
-    px = cam.world_to_px(a)
-    want = math.hypot(0.4, 0.2) * cam.scale
+    cam = DEFAULT_CAMERAS[1]  # the rotated wrist view
+    px = project(cam, np.array([[0.2, 0.3], [0.6, 0.5]]))
+    want = math.hypot(0.4, 0.2) * cam.px_per_m
     got = math.hypot(px[1, 0] - px[0, 0], px[1, 1] - px[0, 1])
     assert got == pytest.approx(want, rel=1e-12)
+
+
+class ReferenceCamera:
+    """The projection render.CameraSpec owned before CameraConfig.to_px."""
+
+    def __init__(self, cfg: CameraConfig):
+        self.scale = float(cfg.px_per_m)
+        self.rotation = math.radians(cfg.rotation_deg)
+        self.center_px = tuple(cfg.center_px)
+        self.look_at = tuple(cfg.look_at)
+
+    def world_to_px(self, pts: np.ndarray) -> np.ndarray:
+        c, s = math.cos(self.rotation), math.sin(self.rotation)
+        dx = pts[:, 0] - self.look_at[0]
+        dy = pts[:, 1] - self.look_at[1]
+        col = self.scale * (c * dx - s * dy) + self.center_px[0]
+        row = self.scale * (s * dx + c * dy) + self.center_px[1]
+        return np.stack([col, row], axis=1)
+
+
+def reference_frame_fits(cameras, x, y, z, radius, lift_m) -> bool:
+    """world._frame_fits with the projection it computed inline."""
+    ly = y - (z - 1) * lift_m
+    for cam in cameras:
+        th = math.radians(cam.rotation_deg)
+        c, s = math.cos(th), math.sin(th)
+        dx, dy = x - cam.look_at[0], ly - cam.look_at[1]
+        col = cam.px_per_m * (c * dx - s * dy) + cam.center_px[0]
+        row = cam.px_per_m * (s * dx + c * dy) + cam.center_px[1]
+        pad = radius * cam.px_per_m + 4.0
+        w, h = cam.image_size
+        if not (pad <= col <= w - pad and pad <= row <= h - pad):
+            return False
+    return True
+
+
+def random_camera(rng: np.random.Generator) -> CameraConfig:
+    w, h = (int(v) for v in rng.integers(64, 257, size=2))
+    return CameraConfig(
+        "cam", (w, h), float(rng.uniform(50.0, 400.0)),
+        float(rng.uniform(-180.0, 180.0)),
+        (float(rng.uniform(0, w)), float(rng.uniform(0, h))),
+        (float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 0.75))))
+
+
+def test_to_px_matches_old_projection_bit_for_bit():
+    rng = np.random.default_rng(20261018)
+    cams = [random_camera(rng) for _ in range(200)] + list(DEFAULT_CAMERAS)
+    for cam in cams:
+        ref = ReferenceCamera(cam)
+        pts = rng.uniform(-0.3, 1.3, size=(int(rng.integers(1, 13)), 2))
+        want = ref.world_to_px(pts)
+        got = project(cam, pts)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert [float(v).hex() for v in got.ravel()] == \
+            [float(v).hex() for v in want.ravel()]
+        for (x, y), (wc, wr) in zip(pts.tolist(), want.tolist()):
+            col, row = cam.to_px(x, y)
+            assert type(col) is float and type(row) is float
+            assert (col.hex(), row.hex()) == (wc.hex(), wr.hex())
+
+
+def test_frame_fits_matches_old_inline_projection():
+    rng = np.random.default_rng(5)
+    decisions = {True: 0, False: 0}
+    for _ in range(3000):
+        cameras = [random_camera(rng) for _ in range(int(rng.integers(1, 3)))]
+        cam = cameras[0]
+        # aim near the first camera's look-at so both decisions occur
+        x, y = (v + float(rng.normal(0.0, 0.25)) for v in cam.look_at)
+        z = int(rng.integers(1, 5))
+        radius = float(rng.uniform(0.0, 0.1))
+        lift = float(rng.uniform(0.0, 0.05))
+        want = reference_frame_fits(cameras, x, y, z, radius, lift)
+        assert world_mod._frame_fits(cameras, x, y, z, radius, lift) == want
+        decisions[want] += 1
+    assert min(decisions.values()) > 100, decisions
 
 
 def reference_rasterize(verts_px: np.ndarray) -> tuple:
@@ -126,11 +200,10 @@ def test_rasterize_matches_reference_on_episode_footprints(monkeypatch):
     monkeypatch.undo()
     for cfg, world, _ in scattered_scenes(20, seed=7):
         for cam_cfg in cfg.cameras:
-            cam = CameraSpec.from_config(cam_cfg)
             for obj in world.objects:
                 verts = np.array(obj.footprint) + [
                     obj.x, obj.y - (obj.z_layer - 1) * cfg.geometry["lift_m"]]
-                calls.append(cam.world_to_px(verts))
+                calls.append(project(cam_cfg, verts))
     seen = {"horizontal_edge": 0, "slanted_edge": 0, "past_frame_edge": 0}
     for verts in calls:
         assert_same_raster(verts)
@@ -234,9 +307,8 @@ def test_lift_shifts_render_position():
     raw2 = render_views(world, cfg.cameras, cfg.geometry["lift_m"])
     c2 = raw2.views["overhead"].records[cube.id].region.centroid
     arm = world.arm()
-    cam = CameraSpec.from_config(cfg.cameras[0])
     lifted_y = arm.y - 3 * cfg.geometry["lift_m"]
-    want = cam.world_to_px(np.array([[arm.x, lifted_y]]))[0]
+    want = cfg.cameras[0].to_px(arm.x, lifted_y)
     assert c2[0] == pytest.approx(want[0], abs=1.0)
     assert c2[1] == pytest.approx(want[1], abs=1.0)
     assert c2 != c1
@@ -296,10 +368,10 @@ def test_box_local_records_match_full_frame():
     assert min(seen.values()) > 0, seen
 
 
-def _on_frame(obj, cam: CameraSpec, lift_m: float) -> bool:
+def _on_frame(obj, cam: CameraConfig, lift_m: float) -> bool:
     """Whether the object's unclipped raster box meets the frame."""
     verts = np.array(obj.footprint) + [obj.x, obj.y - (obj.z_layer - 1) * lift_m]
-    mask, (r0, c0) = rasterize_polygon(cam.world_to_px(verts))
+    mask, (r0, c0) = rasterize_polygon(project(cam, verts))
     w, h = cam.image_size
     return (r0 < h and c0 < w and r0 + mask.shape[0] > 0
             and c0 + mask.shape[1] > 0)
@@ -322,7 +394,7 @@ def test_incremental_render_matches_fresh_render():
     for _ in range(12):
         cfg, worlds = move_sequence(rng, 40)
         lift = cfg.geometry["lift_m"]
-        cams = {c.view_id: CameraSpec.from_config(c) for c in cfg.cameras}
+        cams = {c.view_id: c for c in cfg.cameras}
         carried = Renderer(cfg.cameras, lift)
         prev_world, prev_raw, status = None, None, {}
         for world in worlds:
