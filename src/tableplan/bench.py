@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .config import AssocThresholds, NoiseConfig, SceneConfig
 from .graph import associate
-from .perception import identify_relevant, make_task_spec, segment
+from .perception import make_task_spec, segment
 from .render import render_views
 from .rng import Rng
 from .world import LayoutInfeasible, init_world
@@ -51,8 +51,7 @@ def association_trial(seed: int, sigma: float = 0.0,
     classes = tuple(sorted({o["class"] for o in cfg.custom_objects}))
     spec = make_task_spec("custom", custom_classes=classes)
     noise = NoiseConfig(feature_sigma=sigma)
-    dets = identify_relevant(segment(raw, noise, Rng.substream(seed, "perception")),
-                             spec)
+    dets = segment(raw, noise, Rng.substream(seed, "perception"), spec)
     views = sorted(dets)
     pairs, singles, _ = associate(dets, thresholds)
     in_both = ({d.source_id for d in dets[views[0]]}

@@ -7,8 +7,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -152,8 +152,9 @@ def _cmd_validate_plan(args) -> int:
 def _cmd_assoc_bench(args) -> int:
     if args.scenes < 1:
         raise ConfigError(f"--scenes must be at least 1, got {args.scenes}")
-    if not args.sigma >= 0.0:  # also rejects nan
-        raise ConfigError(f"--sigma must be non-negative, got {args.sigma}")
+    if not (math.isfinite(args.sigma) and args.sigma >= 0.0):
+        raise ConfigError(f"--sigma must be non-negative and finite, "
+                          f"got {args.sigma}")
     report = run_assoc_bench(args.scenes, args.sigma, seed0=args.seed0)
     print(f"scenes={report['scenes']} sigma={report['sigma']}")
     print(f"exact scenes: {report['exact_scenes']}/{report['scenes']} "

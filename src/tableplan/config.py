@@ -36,8 +36,10 @@ class NoiseConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {v}")
-        if self.feature_sigma < 0 or self.tracker_drift_px_per_step < 0:
-            raise ConfigError("noise magnitudes must be >= 0")
+        for name in ("feature_sigma", "tracker_drift_px_per_step"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {v}")
 
 
 @dataclass(frozen=True)
@@ -51,8 +53,9 @@ class GroundingErrorModel:
     def validate(self) -> None:
         if not 0.0 <= self.base_p <= 1.0 or not 0.0 <= self.p_max <= 1.0:
             raise ConfigError("base_p and p_max must be in [0, 1]")
-        if self.per_distractor_p < 0:
-            raise ConfigError("per_distractor_p must be >= 0")
+        if not (math.isfinite(self.per_distractor_p) and self.per_distractor_p >= 0):
+            raise ConfigError(f"per_distractor_p must be finite and >= 0, "
+                              f"got {self.per_distractor_p}")
 
     def probability(self, n_clutter: int) -> float:
         return min(self.p_max, self.base_p + self.per_distractor_p * n_clutter)

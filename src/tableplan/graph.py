@@ -26,8 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .config import AssocThresholds, NoiseConfig
-from .perception import (Detection, TaskSpec, cosine_distance,
-                         identify_relevant, segment, track)
+from .perception import Detection, TaskSpec, cosine_distance, segment, track
 from .region import HULL_PAD, Region
 from .rng import Rng
 from .world import ARM_CLASS
@@ -515,7 +514,7 @@ def update_graph(graph: SemanticGraph, raw_obs, task_spec: TaskSpec,
 
     nodes = graph.sorted_nodes()
     tracked = track(nodes, raw_obs, noise, rng, steps_elapsed)
-    dets = identify_relevant(segment(raw_obs, noise, rng), task_spec)
+    dets = segment(raw_obs, noise, rng, task_spec)
 
     merged: set = set()   # (node_id, view_id) already claimed this step
     leftovers: dict = {}

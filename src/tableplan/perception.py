@@ -1,4 +1,4 @@
-"""Perception stand-ins: segmentation, relevance filtering, tracking.
+"""Perception stand-ins: segmentation with relevance filtering, tracking.
 
 Appearance features are a pure function of an object's appearance seed
 (a seeded hash-to-sphere map), so the same object yields the same base
@@ -16,12 +16,13 @@ import numpy as np
 
 from .config import NoiseConfig
 from .region import Region
-from .rng import Rng, mix64
+from .rng import Rng, mix64, normal_block
 
 FEATURE_DIM = 16
 
 # Confused detections take a random clutter class, which the relevance
-# filter then discards; the sets are disjoint from task classes by design.
+# filter in `segment` then discards; the sets are disjoint from task
+# classes by design.
 from .world import ARM_CLASS, DISTRACTOR_CLASSES
 
 
@@ -33,14 +34,11 @@ def base_feature(appearance_seed: int) -> np.ndarray:
     across views because it depends on nothing but the seed.  The returned
     array is cached and marked read-only.
     """
-    rng = Rng(mix64(appearance_seed ^ 0xFEA70125))
-    v = np.empty(FEATURE_DIM, dtype=np.float64)
-    for i in range(FEATURE_DIM):
-        v[i] = rng.normal()
+    v = normal_block([mix64(appearance_seed ^ 0xFEA70125)], FEATURE_DIM)[0]
     norm = math.sqrt(float(np.dot(v, v)))
     if norm == 0.0:  # pragma: no cover - measure-zero
         v[0], norm = 1.0, 1.0
-    v /= norm
+    v = v / norm  # a new array: the cache keeps no view of the drawn block
     v.setflags(write=False)
     return v
 
@@ -88,62 +86,68 @@ def make_task_spec(task: str, variant: str = "black",
     raise ValueError(task)
 
 
-def perturbed_feature(base: np.ndarray, sigma: float, rng: Rng) -> np.ndarray:
-    """Add isotropic noise of total variance sigma^2, then renormalize."""
-    if sigma <= 0.0:
-        return base
-    per_coord = sigma / math.sqrt(FEATURE_DIM)
-    noisy = base.copy()
-    for i in range(FEATURE_DIM):
-        noisy[i] += per_coord * rng.normal()
-    norm = math.sqrt(float(np.dot(noisy, noisy)))
-    return noisy / norm if norm > 0 else base
+def perturbed_feature(bases: list, sigma: float, start_states: list) -> list:
+    """Each base vector plus isotropic noise of total variance sigma^2,
+    renormalized.
 
-
-def segment(raw_obs, noise: NoiseConfig, rng: Rng) -> dict:
-    """Per-view detections from the rendered label maps.
-
-    Iteration order (sorted view, sorted source id) is part of the replay
-    contract: noise draws happen in exactly this order.
+    The noise of bases[k] is the FEATURE_DIM `normal()` values an Rng at
+    start_states[k] draws, so the result is bit-equal to perturbing one
+    feature at a time; all of them are drawn in one `normal_block` pass.
+    With sigma == 0 the bases come back unchanged, and so does any base
+    whose noisy vector has norm zero.
     """
-    out: dict[str, list] = {}
+    if sigma <= 0.0 or not bases:
+        return list(bases)
+    per_coord = sigma / math.sqrt(FEATURE_DIM)
+    noisy = np.stack(bases) + per_coord * normal_block(start_states, FEATURE_DIM)
+    # one np.dot per row: a batched reduction may sum in another order
+    norms = np.array([math.sqrt(float(np.dot(row, row))) for row in noisy])
+    out = noisy / norms[:, None]
+    return [out[k] if norms[k] > 0 else bases[k] for k in range(len(bases))]
+
+
+def segment(raw_obs, noise: NoiseConfig, rng: Rng, task_spec: TaskSpec) -> dict:
+    """Per-view detections from the rendered label maps, restricted to the
+    records whose (possibly confused) class the task admits.
+
+    The robot arm always passes; downstream consumers tell it apart by its
+    class name.  Iteration order (sorted view, sorted source id) is part of
+    the replay contract: noise draws happen in exactly this order.  Every
+    record that passes the dropout test consumes its confusion draws and,
+    when sigma > 0, its 2 * FEATURE_DIM feature draws, whether or not the
+    task admits its class; a record the task drops skips its feature draws
+    with `Rng.advance` instead of computing the feature.  The kept features
+    are computed afterwards in one `perturbed_feature` call.
+    """
+    feature_draws = 2 * FEATURE_DIM if noise.feature_sigma > 0.0 else 0
+    kept = []       # (view_id, source_id, record, class_name, attributes)
+    starts = []     # rng state before each kept record's feature draws
     for view_id in sorted(raw_obs.views):
-        view = raw_obs.views[view_id]
-        dets = []
-        for source_id in sorted(view.records):
-            rec = view.records[source_id]
+        records = raw_obs.views[view_id].records
+        for source_id in sorted(records):
+            rec = records[source_id]
             if noise.mask_dropout_occlusion > 0.0 and \
                     rec.visible_fraction < noise.mask_dropout_occlusion:
                 continue
             class_name = rec.class_name
-            attributes = dict(rec.attributes)
+            attributes = rec.attributes
             if noise.class_confusion_p > 0.0 and rng.random() < noise.class_confusion_p:
                 class_name = DISTRACTOR_CLASSES[rng.randrange(len(DISTRACTOR_CLASSES))]
                 attributes = {}
-            feature = perturbed_feature(rec.base_feature, noise.feature_sigma, rng)
-            dets.append(Detection(
-                view_id=view_id, source_id=source_id,
-                region=rec.region, class_name=class_name,
-                attributes=attributes, feature=feature,
-            ))
-        out[view_id] = dets
-    return out
-
-
-def identify_relevant(detections: dict, task_spec: TaskSpec) -> dict:
-    """Keep detections whose (possibly confused) class the task admits.
-
-    The robot arm always survives the filter; downstream consumers tell it
-    apart by its class name.
-    """
-    out = {}
-    for view_id in sorted(detections):
-        kept = []
-        for det in detections[view_id]:
-            if not task_spec.admits(det.class_name):
-                continue
-            kept.append(det)
-        out[view_id] = kept
+            if task_spec.admits(class_name):
+                kept.append((view_id, source_id, rec, class_name, attributes))
+                starts.append(rng.getstate())
+            rng.advance(feature_draws)
+    features = perturbed_feature([k[2].base_feature for k in kept],
+                                 noise.feature_sigma, starts)
+    out: dict[str, list] = {view_id: [] for view_id in sorted(raw_obs.views)}
+    for (view_id, source_id, rec, class_name, attributes), feature in \
+            zip(kept, features):
+        out[view_id].append(Detection(
+            view_id=view_id, source_id=source_id,
+            region=rec.region, class_name=class_name,
+            attributes=dict(attributes), feature=feature,
+        ))
     return out
 
 

@@ -10,12 +10,13 @@ groundings made from it and the tracker.  Every piece of per-object mask work
 (area, centroid, overlaps, IoU, shifting, RLE) runs inside the box, never
 over the whole frame.
 
-A Region is also the only owner of the facts its mask implies: `area` and
-`centroid` are computed once on construction; `hull` -- what containment is
-tested against -- and the RLE runs that snapshots store are each built on
-first access and kept for the region's life.  So every record, detection
-and grounding that shares the region shares its hull and runs, and so does
-every later round the renderer carries the region into unchanged.
+A Region is also the only owner of the facts its mask implies: `area`, the
+exact integer index `sums` and the `centroid` divided from them are computed
+once on construction; `hull` -- what containment is tested against -- and
+the RLE runs that snapshots store are each built on first access and kept
+for the region's life.  So every record, detection and grounding that
+shares the region shares its hull and runs, and so does every later round
+the renderer carries the region into unchanged.
 """
 
 from __future__ import annotations
@@ -37,7 +38,16 @@ class Region:
     crop: np.ndarray
     frame: tuple      # (H, W)
     area: int
+    sums: tuple       # exact integer (col, row) index sums of the pixels
     centroid: tuple   # (col, row) of the pixel centres
+
+    @classmethod
+    def _placed(cls, origin: tuple, crop: np.ndarray, frame: tuple,
+                area: int, sums: tuple) -> "Region":
+        # the centroid is divided from the exact integer sums, so it rounds
+        # once and a translated region gets the rescanned value
+        centroid = (sums[0] / area + 0.5, sums[1] / area + 0.5)
+        return cls(origin, crop, frame, area, sums, centroid)
 
     @classmethod
     def from_sub(cls, sub: np.ndarray, origin: tuple,
@@ -52,10 +62,8 @@ class Region:
         c0, c1 = int(cols.min()), int(cols.max()) + 1
         crop = sub[r0:r1, c0:c1].copy()
         crop.setflags(write=False)
-        # exact integer sums, so the division rounds once
-        centroid = ((int(cols.sum()) + origin[1] * n) / n + 0.5,
-                    (int(rows.sum()) + origin[0] * n) / n + 0.5)
-        return cls((origin[0] + r0, origin[1] + c0), crop, frame, n, centroid)
+        sums = (int(cols.sum()) + origin[1] * n, int(rows.sum()) + origin[0] * n)
+        return cls._placed((origin[0] + r0, origin[1] + c0), crop, frame, n, sums)
 
     @classmethod
     def from_full(cls, mask: np.ndarray) -> Optional["Region"]:
@@ -103,9 +111,14 @@ class Region:
 
     def shifted(self, dr: int, dc: int) -> Optional["Region"]:
         """The region moved by (dr, dc) pixels and clipped to the frame;
-        None once no pixel is left on it."""
+        None once no pixel is left on it.  A move that keeps the box inside
+        the frame is a translation: it shares the crop and needs no scan."""
         h, w = self.frame
         r0, r1, c0, c1 = self.box
+        if 0 <= r0 + dr and r1 + dr <= h and 0 <= c0 + dc and c1 + dc <= w:
+            n = self.area
+            return Region._placed((r0 + dr, c0 + dc), self.crop, self.frame, n,
+                                  (self.sums[0] + dc * n, self.sums[1] + dr * n))
         nr0, nr1 = max(r0 + dr, 0), min(r1 + dr, h)
         nc0, nc1 = max(c0 + dc, 0), min(c1 + dc, w)
         if nr0 >= nr1 or nc0 >= nc1:

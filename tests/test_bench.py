@@ -1,5 +1,3 @@
-import pytest
-
 from tableplan.bench import (association_trial, random_scene_config,
                              run_assoc_bench)
 from tableplan.world import LayoutInfeasible, init_world

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,23 @@ def test_run_from_config_file(tmp_path, capsys):
     assert main(["run", "--config", str(cfg_path), "--task", "swap_cups"]) == 0
     # an explicit config file wins over --task
     assert "task=pnp_twice" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("section,name", [
+    ("perception_noise", "tracker_drift_px_per_step"),
+    ("perception_noise", "feature_sigma"),
+    ("executor_error", "per_distractor_p"),
+])
+def test_run_rejects_non_finite_noise(tmp_path, capsys, section, name):
+    doc = SceneConfig(task="swap_cups").to_dict()
+    doc[section][name] = math.inf
+    cfg_path = tmp_path / "scene.json"
+    cfg_path.write_text(json.dumps(doc))  # written as the token Infinity
+    assert "Infinity" in cfg_path.read_text()
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and name in captured.err
 
 
 def test_run_rejects_bad_planner_choice():
@@ -204,6 +222,7 @@ def test_assoc_bench(capsys):
     (["--scenes", "0"], "--scenes must be at least 1"),
     (["--sigma", "-0.5"], "--sigma must be non-negative"),
     (["--sigma", "nan"], "--sigma must be non-negative"),
+    (["--sigma", "inf"], "--sigma must be non-negative"),
 ])
 def test_assoc_bench_rejects_bad_args(args, message, capsys):
     assert main(["assoc-bench", *args]) == 2

@@ -78,6 +78,19 @@ def test_noise_validate():
     DEFAULT_NOISE.validate()
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["feature_sigma", "tracker_drift_px_per_step"])
+def test_noise_magnitudes_must_be_finite(name, value):
+    with pytest.raises(ConfigError, match=name):
+        NoiseConfig(**{name: value}).validate()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_per_distractor_p_must_be_finite(value):
+    with pytest.raises(ConfigError, match="per_distractor_p"):
+        GroundingErrorModel(per_distractor_p=value).validate()
+
+
 def test_error_model():
     m = GroundingErrorModel(base_p=0.02, per_distractor_p=0.05, p_max=0.3)
     assert m.probability(0) == pytest.approx(0.02)

@@ -9,7 +9,7 @@ from tableplan.dsl import (AmbiguousBinding, ArityError, ParseError, PlanError,
                            PlannerOutput, StaleNode, UnboundVariable,
                            UnknownForm, evaluate_policy, load_program,
                            parse_program)
-from tableplan.graph import init_graph, node_by_source, update_graph
+from tableplan.graph import init_graph, update_graph
 from tableplan.perception import make_task_spec
 from tableplan.render import render_views
 from tableplan.world import Primitive, apply_primitive, init_world

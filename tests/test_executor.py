@@ -3,7 +3,7 @@ import math
 import pytest
 
 from tableplan.config import GroundingErrorModel, SceneConfig
-from tableplan.executor import (ActionChunk, GroundedSubtask, TargetInvisible,
+from tableplan.executor import (GroundedSubtask, TargetInvisible,
                                 UnknownVerbPattern, chunk_primitives,
                                 execute_chunk, ground_targets, parse_subtask)
 from tableplan.graph import init_graph, node_by_source, update_graph

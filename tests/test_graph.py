@@ -22,8 +22,8 @@ from tableplan.graph import (CONTAIN_COVERAGE, NEAR_FRACTION,
                              distance_signature, induce_relations,
                              init_graph, node_by_source, signature_distance,
                              update_graph, Grounding)
-from tableplan.perception import (Detection, base_feature, identify_relevant,
-                                  make_task_spec, segment)
+from tableplan.perception import (Detection, base_feature, make_task_spec,
+                                  segment)
 from tableplan.region import CONTAIN_DILATE_PX, Region
 from tableplan.render import Renderer, render_views
 from tableplan.rng import Rng
@@ -764,7 +764,7 @@ def eager_init_graph(raw_obs, task_spec, thresholds, noise, rng):
     """init_graph as a separate bootstrap, before it became an update of
     the empty graph."""
     graph = SemanticGraph(step=raw_obs.step)
-    dets = identify_relevant(segment(raw_obs, noise, rng), task_spec)
+    dets = segment(raw_obs, noise, rng, task_spec)
     pairs, singles, no_anchor_flag = associate(dets, thresholds)
     _spawn_nodes(graph, pairs, singles, no_anchor_flag, raw_obs.step)
     _rebuild_edges(graph, raw_obs)

@@ -1,11 +1,9 @@
 import json
-from dataclasses import replace
 
 import pytest
 
 from tableplan import __version__
-from tableplan.config import (ConfigError, SceneConfig, default_noise_config,
-                              perfect_config)
+from tableplan.config import ConfigError, default_noise_config, perfect_config
 from tableplan.dsl import evaluate_policy
 from tableplan.graph import init_graph
 from tableplan.harness import (DivergenceAt, VersionMismatch, _flake,

@@ -1,16 +1,26 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from scenes import full_mask
-from tableplan.config import NoiseConfig, SceneConfig
-from tableplan.perception import (FEATURE_DIM, base_feature, cosine_distance,
-                                  identify_relevant, make_task_spec,
-                                  perturbed_feature, segment, track)
+from tableplan.config import NoiseConfig, SceneConfig, default_noise_config
+from tableplan.perception import (FEATURE_DIM, Detection, TaskSpec,
+                                  base_feature, cosine_distance,
+                                  make_task_spec, perturbed_feature, segment,
+                                  track)
 from tableplan.render import render_views
 from tableplan.rng import Rng
-from tableplan.world import Primitive, apply_primitive, init_world
+from tableplan.world import (DISTRACTOR_CLASSES, LayoutInfeasible, Primitive,
+                             apply_primitive, init_world)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+# a task that admits every class, so segment keeps every detection
+ADMIT_ALL = TaskSpec("all", "every class",
+                     frozenset(("cube", "cup", "plate") + DISTRACTOR_CLASSES))
 
 
 def rendered(task="swap_cups", seed=0, **kw):
@@ -42,14 +52,56 @@ def test_perturbed_feature_statistics():
     base = base_feature(7)
     rng = Rng.substream(0, "pf")
     sigma = 0.2
-    dists = []
+    starts = []
     for _ in range(2000):
-        noisy = perturbed_feature(base, sigma, rng)
+        starts.append(rng.getstate())
+        rng.advance(2 * FEATURE_DIM)
+    dists = []
+    for noisy in perturbed_feature([base] * len(starts), sigma, starts):
         assert float(np.dot(noisy, noisy)) == pytest.approx(1.0)
         dists.append(cosine_distance(base, noisy))
     # E[cos distance] ~ sigma^2 / 2 for small sigma on the unit sphere
     assert sum(dists) / len(dists) == pytest.approx(sigma**2 / 2, rel=0.15)
-    assert perturbed_feature(base, 0.0, rng) is base
+    assert perturbed_feature([base], 0.0, starts[:1])[0] is base
+    assert perturbed_feature([], sigma, []) == []
+
+
+def per_coordinate_feature(base, sigma, rng):
+    """perturbed_feature as it was before it drew a frame's features in one
+    pass: one Rng.normal() per coordinate."""
+    if sigma <= 0.0:
+        return base
+    per_coord = sigma / math.sqrt(FEATURE_DIM)
+    noisy = base.copy()
+    for i in range(FEATURE_DIM):
+        noisy[i] += per_coord * rng.normal()
+    norm = math.sqrt(float(np.dot(noisy, noisy)))
+    return noisy / norm if norm > 0 else base
+
+
+def test_perturbed_feature_matches_per_coordinate_loop():
+    gen = np.random.default_rng(11)
+    for sigma in (0.05, 0.2, 1.0, 3.0):
+        bases = [base_feature(int(s)) for s in gen.integers(0, 1 << 40, 50)]
+        starts = [int(s) for s in gen.integers(0, 2**64, 50, dtype=np.uint64)]
+        starts[:3] = [0, 2**64 - 1, 2**64 - 5]
+        got = perturbed_feature(bases, sigma, starts)
+        for base, state, feature in zip(bases, starts, got):
+            want = per_coordinate_feature(base, sigma, Rng(state))
+            assert feature.tobytes() == want.tobytes()
+
+
+def base_feature_loop(appearance_seed):
+    """base_feature as it was, one Rng.normal() per coordinate."""
+    from tableplan.rng import mix64
+    rng = Rng(mix64(appearance_seed ^ 0xFEA70125))
+    v = np.array([rng.normal() for _ in range(FEATURE_DIM)])
+    return v / math.sqrt(float(np.dot(v, v)))
+
+
+def test_base_feature_matches_per_coordinate_loop():
+    for seed in [0, 1, 2**31, 2**63 + 5] + list(range(1000, 1300)):
+        assert base_feature(seed).tobytes() == base_feature_loop(seed).tobytes()
 
 
 def test_task_specs():
@@ -69,7 +121,8 @@ def test_task_specs():
 
 def test_segment_noise_free():
     cfg, world, raw = rendered(seed=1)
-    dets = segment(raw, NoiseConfig(), Rng.substream(1, "perception"))
+    dets = segment(raw, NoiseConfig(), Rng.substream(1, "perception"),
+                   make_task_spec(cfg.task))
     assert sorted(dets) == ["overhead", "wrist"]
     for view_id, view_dets in dets.items():
         recs = raw.views[view_id].records
@@ -88,8 +141,8 @@ def test_segment_draw_order_is_stable():
     # same seed, same scene -> byte-identical features under noise
     cfg, world, raw = rendered(seed=2)
     noise = NoiseConfig(feature_sigma=0.3, class_confusion_p=0.1)
-    a = segment(raw, noise, Rng.substream(5, "perception"))
-    b = segment(raw, noise, Rng.substream(5, "perception"))
+    a = segment(raw, noise, Rng.substream(5, "perception"), ADMIT_ALL)
+    b = segment(raw, noise, Rng.substream(5, "perception"), ADMIT_ALL)
     for view_id in a:
         for da, db in zip(a[view_id], b[view_id]):
             assert np.array_equal(da.feature, db.feature)
@@ -103,7 +156,7 @@ def test_class_confusion_rate():
     n = 0
     confused = 0
     for _ in range(400):
-        dets = segment(raw, noise, rng)
+        dets = segment(raw, noise, rng, ADMIT_ALL)
         for view_dets in dets.values():
             for d in view_dets:
                 n += 1
@@ -113,7 +166,8 @@ def test_class_confusion_rate():
     sigma = math.sqrt(0.25 * 0.75 / n)
     assert abs(p - 0.25) < 4 * sigma
     # confused detections lose their attributes
-    assert all(d.attributes == {} for dets in segment(raw, noise, rng).values()
+    assert all(d.attributes == {}
+               for dets in segment(raw, noise, rng, ADMIT_ALL).values()
                for d in dets if d.class_name != world.get(d.source_id).class_name)
 
 
@@ -122,7 +176,8 @@ def test_mask_dropout_threshold():
     cfg, world, raw = rendered("pnp_twice", seed=0)
     cube = world.by_class("cube")[0]
     noise = NoiseConfig(mask_dropout_occlusion=0.999)
-    dets = segment(raw, noise, Rng.substream(0, "perception"))
+    dets = segment(raw, noise, Rng.substream(0, "perception"),
+                   make_task_spec("pnp_twice"))
     for view_id, view_dets in dets.items():
         ids = {d.source_id for d in view_dets}
         assert cube.id in ids  # fully visible survives
@@ -130,10 +185,10 @@ def test_mask_dropout_threshold():
 
 
 def test_identify_relevant():
+    # segment keeps only the classes the task admits, and the arm
     cfg, world, raw = rendered("swap_cups", seed=0, distractors=4)
     spec = make_task_spec("swap_cups")
-    dets = identify_relevant(segment(raw, NoiseConfig(),
-                                     Rng.substream(0, "perception")), spec)
+    dets = segment(raw, NoiseConfig(), Rng.substream(0, "perception"), spec)
     for view_dets in dets.values():
         classes = {d.class_name for d in view_dets}
         assert classes <= {"cup", "plate", "arm"}
@@ -218,3 +273,99 @@ def test_track_skips_sources_gone_from_frame():
     cube_nodes = [n.node_id for n in g.sorted_nodes() if n.class_name == "cube"]
     assert all((nid, v) not in out for nid in cube_nodes
                for v in ("overhead", "wrist"))
+
+
+# -- the fused segment against segment + identify_relevant ---------------------
+
+def unfused_segment(raw_obs, noise, rng):
+    """segment as it was before it absorbed identify_relevant: every record
+    that passes the dropout test gets a feature, one coordinate at a time."""
+    out = {}
+    for view_id in sorted(raw_obs.views):
+        view = raw_obs.views[view_id]
+        dets = []
+        for source_id in sorted(view.records):
+            rec = view.records[source_id]
+            if noise.mask_dropout_occlusion > 0.0 and \
+                    rec.visible_fraction < noise.mask_dropout_occlusion:
+                continue
+            class_name = rec.class_name
+            attributes = dict(rec.attributes)
+            if noise.class_confusion_p > 0.0 and rng.random() < noise.class_confusion_p:
+                class_name = DISTRACTOR_CLASSES[rng.randrange(len(DISTRACTOR_CLASSES))]
+                attributes = {}
+            feature = per_coordinate_feature(rec.base_feature,
+                                             noise.feature_sigma, rng)
+            dets.append(Detection(
+                view_id=view_id, source_id=source_id,
+                region=rec.region, class_name=class_name,
+                attributes=attributes, feature=feature,
+            ))
+        out[view_id] = dets
+    return out
+
+
+def identify_relevant(detections, task_spec):
+    """The relevance filter that ran after segment."""
+    return {view_id: [d for d in detections[view_id]
+                      if task_spec.admits(d.class_name)]
+            for view_id in sorted(detections)}
+
+
+def fused_segment_frames():
+    """(spec, noise, raw, seed): first frames of swap_noisy, default-noise
+    place_and_stack and raw 8-distractor scenes, each also with the class
+    confusion and the dropout floor raised, so that confused detections are
+    common and the slightly occluded records of a first frame drop out."""
+    cfgs = [SceneConfig.load(CONFIGS / "swap_noisy.json"),
+            default_noise_config("place_and_stack"),
+            SceneConfig(task="pnp_twice", vision="raw", distractors=8)]
+    for cfg in cfgs:
+        spec = make_task_spec(cfg.task, cfg.variant)
+        frames = 0
+        seed = 0
+        while frames < 70:
+            seed += 1
+            try:
+                world = init_world(cfg, seed)
+            except LayoutInfeasible:
+                continue
+            frames += 1
+            raw = render_views(world, cfg.cameras, cfg.geometry["lift_m"])
+            for noise in (cfg.perception_noise,
+                          replace(cfg.perception_noise, class_confusion_p=0.3,
+                                  mask_dropout_occlusion=0.95)):
+                yield spec, noise, raw, seed
+
+
+def test_fused_segment_matches_segment_then_filter():
+    seen = {"dropout": 0, "confused_dropped": 0, "distractor_dropped": 0,
+            "kept": 0, "frames": 0}
+    for spec, noise, raw, seed in fused_segment_frames():
+        got_rng = Rng.substream(seed, "perception")
+        want_rng = Rng.substream(seed, "perception")
+        got = segment(raw, noise, got_rng, spec)
+        unfiltered = unfused_segment(raw, noise, want_rng)
+        want = identify_relevant(unfiltered, spec)
+        assert got_rng.getstate() == want_rng.getstate()
+        assert list(got) == list(want)
+        for view_id in want:
+            assert [(d.source_id, d.class_name, d.attributes, d.feature.tobytes())
+                    for d in got[view_id]] == \
+                [(d.source_id, d.class_name, d.attributes, d.feature.tobytes())
+                 for d in want[view_id]]
+            assert all(a.region is b.region
+                       for a, b in zip(got[view_id], want[view_id]))
+            records = raw.views[view_id].records
+            kept = {d.source_id for d in want[view_id]}
+            seen["dropout"] += len(records) - len(unfiltered[view_id])
+            seen["kept"] += len(kept)
+            for d in unfiltered[view_id]:
+                if d.source_id in kept:
+                    continue
+                true_class = records[d.source_id].class_name
+                seen["confused_dropped" if spec.admits(true_class)
+                     else "distractor_dropped"] += 1
+        seen["frames"] += 1
+    assert seen["frames"] >= 200
+    assert min(seen.values()) > 0, seen

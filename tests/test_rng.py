@@ -1,8 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
-from tableplan.rng import Rng, fnv1a64, mix64
+from tableplan.rng import Rng, fnv1a64, mix64, normal_block
+
+MASK64 = (1 << 64) - 1
+GOLDEN = 0x9E3779B97F4A7C15
 
 
 def test_splitmix64_published_vector():
@@ -112,3 +116,90 @@ def test_normal_finite():
     # u1 is clamped away from zero, so log never blows up
     r = Rng.substream(17, "fin")
     assert all(math.isfinite(r.normal()) for _ in range(5000))
+
+
+# -- counter-based skipping and block draws ------------------------------------
+
+EDGE_STATES = ([0, 1, 2, MASK64, MASK64 - 1, MASK64 - 2, GOLDEN,
+                (1 << 63) - 1, 1 << 63]
+               + [(-k * GOLDEN) & MASK64 for k in range(1, 40)]
+               + [(-k * GOLDEN + 1) & MASK64 for k in range(1, 40)])
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 31, 32, 33, 1000])
+def test_advance_equals_next_u64_calls(n):
+    gen = np.random.default_rng(n)
+    states = EDGE_STATES + [int(s) for s in
+                            gen.integers(0, 2**64, 50, dtype=np.uint64)]
+    for state in states:
+        skipped, walked = Rng(state), Rng(state)
+        skipped.advance(n)
+        for _ in range(n):
+            walked.next_u64()
+        assert skipped.getstate() == walked.getstate()
+        assert skipped.next_u64() == walked.next_u64()
+
+
+def sequential_normals(state, n):
+    rng = Rng(state)
+    values = [rng.normal().hex() for _ in range(n)]
+    return values, rng.getstate()
+
+
+def block_hex(states, n):
+    return [[float(x).hex() for x in row] for row in normal_block(states, n)]
+
+
+def test_normal_block_bit_equal_on_random_states():
+    gen = np.random.default_rng(2024)
+    states = [int(s) for s in gen.integers(0, 2**64, 10000, dtype=np.uint64)]
+    block = block_hex(states, 2)
+    for state, row in zip(states, block):
+        assert row == sequential_normals(state, 2)[0]
+
+
+def test_normal_block_bit_equal_at_range_ends():
+    # start states whose draws wrap past 2**64, and the first states
+    for n in (1, 16):
+        block = block_hex(EDGE_STATES, n)
+        for state, row in zip(EDGE_STATES, block):
+            assert row == sequential_normals(state, n)[0]
+    assert normal_block([], 16).shape == (0, 16)
+
+
+def unmix64(y):
+    """The inverse of mix64."""
+    def unxorshift(z, k):
+        x = z
+        for _ in range(64 // k + 1):
+            x = z ^ (x >> k)
+        return x
+    y = unxorshift(y, 31)
+    y = (y * pow(0x94D049BB133111EB, -1, 1 << 64)) & MASK64
+    y = unxorshift(y, 27)
+    y = (y * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & MASK64
+    return unxorshift(y, 30)
+
+
+def test_normal_block_signed_zero():
+    # a first draw with all top 53 bits set makes u1 == 1.0, so the radius
+    # is -0.0; with a positive cosine the product is -0.0 and `0.0 +`
+    # turns it into +0.0.  The block must do the same.
+    checked = 0
+    for low in range(1 << 11):
+        state = (unmix64(0xFFFFFFFFFFFFF800 | low) - GOLDEN) & MASK64
+        assert unmix64(mix64(state + GOLDEN)) == (state + GOLDEN) & MASK64
+        rng = Rng(state)
+        assert ((rng.next_u64() >> 11) + 1) * 2.0**-53 == 1.0
+        u2 = (rng.next_u64() >> 11) * 2.0**-53
+        if math.cos(2.0 * math.pi * u2) <= 0.0:
+            continue
+        r = math.sqrt(-2.0 * math.log(1.0))
+        assert (r * math.cos(2.0 * math.pi * u2)).hex() == "-0x0.0p+0"
+        values, _ = sequential_normals(state, 3)
+        assert values[0] == "0x0.0p+0"
+        assert block_hex([state], 3)[0] == values
+        checked += 1
+        if checked == 5:
+            break
+    assert checked == 5

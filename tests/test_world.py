@@ -4,11 +4,11 @@ import pytest
 
 from oracles import bfs_min_acts
 from tableplan.config import SceneConfig
-from tableplan.world import (ARM_CLASS, HELD_Z, LayoutInfeasible,
-                             MilestoneTracker, Primitive, UnknownObject,
-                             apply_primitive, circumradius,
-                             ground_truth_relations, hidden_inside_opaque,
-                             init_world, regular_polygon, task_oracle)
+from tableplan.world import (HELD_Z, LayoutInfeasible, MilestoneTracker,
+                             Primitive, UnknownObject, apply_primitive,
+                             circumradius, ground_truth_relations,
+                             hidden_inside_opaque, init_world, regular_polygon,
+                             task_oracle)
 
 
 def world_for(task, seed=0, **kw):
