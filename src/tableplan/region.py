@@ -17,6 +17,23 @@ the RLE runs that snapshots store are each built on first access and kept
 for the region's life.  So every record, detection and grounding that
 shares the region shares its hull and runs, and so does every later round
 the renderer carries the region into unchanged.
+
+The hull is built by `containment_hull` in plain numpy, bit-identical to
+scipy.ndimage's `binary_fill_holes` (4-connected) followed by
+`binary_dilation(iterations=CONTAIN_DILATE_PX)` with the cross structure,
+which the tests keep as its reference:
+
+- seed: a background pixel of the crop is outside when its row or its
+  column is open to the crop's edge on one side -- four
+  `np.logical_or.accumulate` passes;
+- sweep: while some background pixel not yet outside is 4-adjacent to an
+  outside one, add it and spread the outside set along the background runs
+  of its rows and columns.  Each sweep grows the set, and when none is left
+  to add, the outside set is the background 4-connected to the crop's edge,
+  so what remains is the crop with its holes filled.  Real crops almost
+  never enter the loop;
+- dilate: pad by HULL_PAD and OR in the four cross shifts
+  CONTAIN_DILATE_PX times.
 """
 
 from __future__ import annotations
@@ -26,10 +43,63 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy import ndimage
 
 CONTAIN_DILATE_PX = 2
 HULL_PAD = CONTAIN_DILATE_PX + 1
+
+
+def _cross(mask: np.ndarray) -> np.ndarray:
+    """One binary dilation of `mask` by the 4-neighbour cross; pixels past
+    the array's edge count as background."""
+    out = mask.copy()
+    out[1:] |= mask[:-1]
+    out[:-1] |= mask[1:]
+    out[:, 1:] |= mask[:, :-1]
+    out[:, :-1] |= mask[:, 1:]
+    return out
+
+
+def _fill_holes(crop: np.ndarray) -> np.ndarray:
+    """`crop` with its holes filled: every background pixel with no
+    4-connected background path to the crop's edge is set.  A new array."""
+    acc = np.logical_or.accumulate
+    # seed: a pixel is enclosed when every straight line from it to the
+    # crop's edge meets a crop pixel (itself included)
+    filled = acc(crop, axis=0) & acc(crop, axis=1)
+    filled &= acc(crop[::-1], axis=0)[::-1]
+    filled &= acc(crop[:, ::-1], axis=1)[:, ::-1]
+    holes = filled & ~crop
+    if not holes.any():
+        return filled
+    outside = ~filled
+    front = _cross(outside) & holes
+    if not front.any():
+        return filled
+    # sweep: number the background runs of the rows, and of the columns, so
+    # that two pixels of one row (column) share a number iff no crop pixel
+    # lies between them
+    h, w = crop.shape
+    row_runs = np.cumsum(crop, axis=1) + np.arange(h)[:, None] * (w + 1)
+    col_runs = np.cumsum(crop, axis=0) * w + np.arange(w)
+    while front.any():
+        outside |= front
+        for runs, count in ((row_runs, h * (w + 1)), (col_runs, (h + 1) * w)):
+            reached = np.zeros(count, dtype=bool)
+            reached[runs[outside]] = True
+            outside = reached[runs] & ~crop
+        front = _cross(outside) & ~(crop | outside)
+    return ~outside
+
+
+def containment_hull(crop: np.ndarray) -> np.ndarray:
+    """`crop` padded by HULL_PAD, hole-filled (4-connected), then dilated
+    CONTAIN_DILATE_PX times by the cross; a new writable array."""
+    h, w = crop.shape
+    hull = np.zeros((h + 2 * HULL_PAD, w + 2 * HULL_PAD), dtype=bool)
+    hull[HULL_PAD:HULL_PAD + h, HULL_PAD:HULL_PAD + w] = _fill_holes(crop)
+    for _ in range(CONTAIN_DILATE_PX):
+        hull = _cross(hull)
+    return hull
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,10 +147,10 @@ class Region:
 
     @cached_property
     def hull(self) -> np.ndarray:
-        """The crop padded by HULL_PAD, hole-filled, then dilated
-        CONTAIN_DILATE_PX times; placed at `hull_origin`.  Read-only."""
-        filled = ndimage.binary_fill_holes(np.pad(self.crop, HULL_PAD))
-        hull = ndimage.binary_dilation(filled, iterations=CONTAIN_DILATE_PX)
+        """`containment_hull` of the crop -- padded by HULL_PAD, hole-filled,
+        then dilated CONTAIN_DILATE_PX times -- placed at `hull_origin`.
+        Read-only."""
+        hull = containment_hull(self.crop)
         hull.setflags(write=False)
         return hull
 

@@ -50,14 +50,20 @@ def rle_decode(runs: list, shape: tuple) -> np.ndarray:
     return flat.reshape(shape)
 
 
+# Values of these exact types are already JSON leaves; a dict or list holds
+# them as they are, without a call per item (an RLE list is mostly ints).
+_LEAF_TYPES = frozenset((int, str, bool, type(None)))
+
+
 def _stringify(obj):
     """Recursively turn floats into '%.9g' strings for byte-stable JSON."""
     if isinstance(obj, float):
         return fmt_float(obj)
     if isinstance(obj, dict):
-        return {k: _stringify(v) for k, v in obj.items()}
+        return {k: v if type(v) in _LEAF_TYPES else _stringify(v)
+                for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_stringify(v) for v in obj]
+        return [v if type(v) in _LEAF_TYPES else _stringify(v) for v in obj]
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.floating,)):

@@ -24,6 +24,7 @@ from tableplan.graph import (CONTAIN_COVERAGE, NEAR_FRACTION,
                              update_graph, Grounding)
 from tableplan.perception import (Detection, base_feature, make_task_spec,
                                   segment)
+from tableplan import region as region_mod
 from tableplan.region import CONTAIN_DILATE_PX, Region
 from tableplan.render import Renderer, render_views
 from tableplan.rng import Rng
@@ -356,19 +357,21 @@ def test_lazy_hulls_match_eager_reference():
 
 
 @pytest.fixture
-def fill_holes_calls(monkeypatch):
-    calls = []
-    real = ndimage.binary_fill_holes
+def hull_builds(monkeypatch):
+    """The shape of every hull built, in order."""
+    builds = []
+    real = region_mod.containment_hull
 
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return real(*args, **kwargs)
+    def counting(crop):
+        hull = real(crop)
+        builds.append(hull.shape)
+        return hull
 
-    monkeypatch.setattr(ndimage, "binary_fill_holes", counting)
-    return calls
+    monkeypatch.setattr(region_mod, "containment_hull", counting)
+    return builds
 
 
-def test_far_apart_masks_build_no_hull(fill_holes_calls):
+def test_far_apart_masks_build_no_hull(hull_builds):
     small = np.zeros((60, 60), dtype=bool)
     small[2:6, 2:6] = True
     ring = np.zeros((60, 60), dtype=bool)
@@ -377,10 +380,10 @@ def test_far_apart_masks_build_no_hull(fill_holes_calls):
     regions = {1: {"v": Region.from_full(small)},
                2: {"v": Region.from_full(ring)}}
     assert induce_relations(regions, {"v": 100.0}) == set()
-    assert fill_holes_calls == []
+    assert hull_builds == []
 
 
-def test_only_the_larger_hull_is_built(fill_holes_calls):
+def test_only_the_larger_hull_is_built(hull_builds):
     small = np.zeros((60, 60), dtype=bool)
     small[38:42, 38:42] = True
     ring = np.zeros((60, 60), dtype=bool)
@@ -389,10 +392,10 @@ def test_only_the_larger_hull_is_built(fill_holes_calls):
     regions = {1: {"v": Region.from_full(small)},
                2: {"v": Region.from_full(ring)}}
     assert (1, 2, "in") in induce_relations(regions, {"v": 1000.0})
-    assert fill_holes_calls == [(20 + 2 * HULL_PAD, 20 + 2 * HULL_PAD)]
+    assert hull_builds == [(20 + 2 * HULL_PAD, 20 + 2 * HULL_PAD)]
 
 
-def test_render_carry_reaches_the_graph(fill_holes_calls, monkeypatch):
+def test_render_carry_reaches_the_graph(hull_builds, monkeypatch):
     # one raw_clutter episode: a distractor nothing moves near keeps one
     # Region for the episode, a plate keeps its Region while nothing near it
     # changes, the graph grounds on the rendered Region itself, and each
@@ -440,7 +443,7 @@ def test_render_carry_reaches_the_graph(fill_holes_calls, monkeypatch):
             if "hull" in vars(g.region):
                 hulled[id(g.region)] = g.region
     assert any(class_name == "plate" for class_name, _, _ in rounds[0])
-    assert len(fill_holes_calls) == len(hulled) > 0
+    assert len(hull_builds) == len(hulled) > 0
 
 
 # -- graph structure and queries ------------------------------------------------------

@@ -1,11 +1,21 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from scenes import (full_frame_box, full_mask, graph_and_drifted_tracks,
                     scattered_scenes)
-from tableplan.config import NoiseConfig
+from tableplan import region as region_mod
+from tableplan.config import (NoiseConfig, SceneConfig, default_noise_config,
+                              perfect_config)
+from tableplan.harness import run_episode
 from tableplan.perception import make_task_spec, segment
-from tableplan.region import Region
+from tableplan.region import CONTAIN_DILATE_PX, HULL_PAD, Region
+from tableplan.render import Renderer
 from tableplan.rng import Rng
 from tableplan.serialize import rle_decode, rle_encode
 
@@ -163,3 +173,192 @@ def test_shared_crop_is_read_only():
     for array in (region.crop, region.shifted(0, 0).crop, region.hull):
         with pytest.raises(ValueError):
             array[0, 0] = not array[0, 0]
+
+
+# -- containment hull -----------------------------------------------------------
+
+CONFIGS = Path(__file__).parents[1] / "configs"
+
+
+def assert_hull_matches_ndimage(crop: np.ndarray):
+    """The hull, and the hole filling before its dilation, against
+    scipy.ndimage: the reference.  Filling is checked on its own because
+    the dilation covers up a wrongly filled corridor narrower than it."""
+    filled = ndimage.binary_fill_holes(np.pad(crop, HULL_PAD))
+    want = ndimage.binary_dilation(filled, iterations=CONTAIN_DILATE_PX)
+    assert np.array_equal(region_mod._fill_holes(crop),
+                          filled[HULL_PAD:-HULL_PAD, HULL_PAD:-HULL_PAD])
+    assert np.array_equal(region_mod.containment_hull(crop), want)
+
+
+def workload_configs() -> list:
+    """The scene configs the benchmark's four workloads cycle through."""
+    return ([perfect_config(t) for t in
+             ("pnp_twice", "place_and_stack", "swap_cups")]
+            + [SceneConfig.load(CONFIGS / "swap_noisy.json"),
+               perfect_config("swap_cups", distractors=8, vision="raw")]
+            + [default_noise_config("place_and_stack", planner=p)
+               for p in ("code", "mock_vlm_graph", "mock_vlm_rgb")])
+
+
+def episode_crops(monkeypatch) -> dict:
+    """(config index, seed) -> the distinct crops of every rendered object
+    and every hull built in that episode."""
+    crops = []
+    real_render = Renderer.render
+    real_hull = region_mod.containment_hull
+
+    def recording_render(self, world):
+        raw = real_render(self, world)
+        crops.extend(rec.region.crop for view in raw.views.values()
+                     for rec in view.records.values())
+        return raw
+
+    def recording_hull(crop):
+        crops.append(crop)
+        return real_hull(crop)
+
+    monkeypatch.setattr(Renderer, "render", recording_render)
+    monkeypatch.setattr(region_mod, "containment_hull", recording_hull)
+    out = {}
+    for i, cfg in enumerate(workload_configs()):
+        for seed in (0, 1):
+            crops.clear()
+            run_episode(cfg, seed)
+            out[i, seed] = list({(c.shape, c.tobytes()): c
+                                 for c in crops}.values())
+    return out
+
+
+def square_spiral(n: int) -> np.ndarray:
+    """Walls of a square spiral; its 1-pixel corridor opens at (1, 0) and
+    winds in to the centre."""
+    mask = np.zeros((n, n), dtype=bool)
+    r, c = 0, 0
+    mask[r, c] = True
+    steps = [(0, 1, n - 1), (1, 0, n - 1)]
+    length = n - 1
+    while length > 0:
+        steps += [(0, -1, length), (-1, 0, length - 2)]
+        steps += [(0, 1, length - 2), (1, 0, length - 4)]
+        length -= 4
+    for dr, dc, k in steps:
+        for _ in range(max(k, 0)):
+            r, c = r + dr, c + dc
+            mask[r, c] = True
+    return mask
+
+
+def nested_rings(n: int, gaps: bool) -> np.ndarray:
+    """Concentric square rings two pixels apart; with `gaps`, each ring is
+    cut on the side opposite the cut of the ring around it."""
+    mask = np.zeros((n, n), dtype=bool)
+    for k, lo in enumerate(range(0, n // 2, 2)):
+        hi = n - 1 - lo
+        mask[lo, lo:hi + 1] = mask[hi, lo:hi + 1] = True
+        mask[lo:hi + 1, lo] = mask[lo:hi + 1, hi] = True
+        if gaps and hi - lo > 2:
+            mask[(lo + hi) // 2, hi if k % 2 else lo] = False
+    return mask
+
+
+def adversarial_crops() -> dict:
+    diamond = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=bool)
+    corner_cut = np.ones((6, 6), dtype=bool)
+    corner_cut[1:5, 1:5] = False
+    corner_cut[0, 5] = False          # the inside meets it only diagonally
+    plus = np.zeros((7, 9), dtype=bool)
+    plus[3, :] = plus[:, 4] = True
+    sealed = square_spiral(15)
+    sealed[1, 0] = True
+    wide = np.ones((3, 3), dtype=bool)
+    return {
+        "spiral": square_spiral(15),
+        "large_spiral": square_spiral(31),
+        "sealed_spiral": sealed,
+        "wide_spiral": np.kron(square_spiral(11), wide),
+        "rings_with_gaps": nested_rings(21, gaps=True),
+        "wide_rings_with_gaps": np.kron(nested_rings(13, gaps=True), wide),
+        "closed_rings": nested_rings(21, gaps=False),
+        "diagonal_only": diamond,
+        "diagonal_corner": corner_cut,
+        "one_pixel": np.ones((1, 1), dtype=bool),
+        "row": np.ones((1, 9), dtype=bool),
+        "column": np.ones((9, 1), dtype=bool),
+        "rectangle": np.ones((5, 8), dtype=bool),
+        "plus_on_all_edges": plus,
+    }
+
+
+def test_hull_matches_ndimage_on_episode_crops(monkeypatch):
+    per_episode = episode_crops(monkeypatch)
+    monkeypatch.undo()
+    assert all(per_episode.values()), sorted(
+        key for key, crops in per_episode.items() if not crops)
+    holed = 0
+    for crops in per_episode.values():
+        for crop in crops:
+            assert_hull_matches_ndimage(crop)
+            holed += not np.array_equal(ndimage.binary_fill_holes(crop), crop)
+    # some real crops have holes for the hull to fill
+    assert holed > 0
+
+
+@pytest.mark.parametrize("name", sorted(adversarial_crops()))
+def test_hull_matches_ndimage_on_adversarial_crops(name):
+    assert_hull_matches_ndimage(adversarial_crops()[name])
+
+
+def test_hull_matches_ndimage_on_random_crops():
+    rng = np.random.default_rng(20261018)
+    for _ in range(2000):
+        h, w = (int(v) for v in rng.integers(1, 33, size=2))
+        crop = rng.random((h, w)) < rng.uniform(0.1, 0.95)
+        if rng.random() < 0.5:      # pixels on all four edges
+            crop[0, rng.integers(w)] = crop[-1, rng.integers(w)] = True
+            crop[rng.integers(h), 0] = crop[rng.integers(h), -1] = True
+        assert_hull_matches_ndimage(crop)
+
+
+def test_spirals_and_gapped_rings_take_several_sweeps(monkeypatch):
+    # each sweep and the check before the first one dilate `outside` once,
+    # on top of the CONTAIN_DILATE_PX dilations of the hull itself
+    calls = []
+    real = region_mod._cross
+
+    def counting(mask):
+        calls.append(mask.shape)
+        return real(mask)
+
+    monkeypatch.setattr(region_mod, "_cross", counting)
+    crops = adversarial_crops()
+    for name in ("spiral", "large_spiral", "wide_spiral", "rings_with_gaps",
+                 "wide_rings_with_gaps"):
+        calls.clear()
+        region_mod.containment_hull(crops[name])
+        assert len(calls) - CONTAIN_DILATE_PX > 3, name
+    calls.clear()
+    region_mod.containment_hull(crops["rectangle"])
+    assert len(calls) == CONTAIN_DILATE_PX
+
+
+def test_package_runs_without_scipy():
+    # every module of the package and a whole episode run without
+    # importing scipy; only the tests use it, as the hull's reference
+    code = ("import importlib, pkgutil, sys\n"
+            "import tableplan\n"
+            "for m in pkgutil.iter_modules(tableplan.__path__):\n"
+            "    importlib.import_module('tableplan.' + m.name)\n"
+            "from tableplan.config import perfect_config\n"
+            "from tableplan.harness import run_episode\n"
+            "run_episode(perfect_config('swap_cups', distractors=8,"
+            " vision='raw'), 0)\n"
+            "print(sorted(m for m in sys.modules"
+            " if m == 'scipy' or m.startswith('scipy.')))\n")
+    src = str(Path(region_mod.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

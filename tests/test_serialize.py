@@ -1,9 +1,13 @@
+import enum
+import json
+
 import numpy as np
 import pytest
 
-from tableplan.config import SceneConfig
+from tableplan.config import SceneConfig, default_noise_config
 from tableplan.dsl import evaluate_policy, load_program
 from tableplan.graph import init_graph, update_graph
+from tableplan.harness import run_episode
 from tableplan.perception import make_task_spec
 from tableplan.region import Region
 from tableplan.render import render_views
@@ -66,6 +70,48 @@ def test_canonical_json_is_byte_stable():
     assert canonical_json({"s": "café"}) == '{"s":"café"}'
     nested = {"x": [0.5, {"y": (1.0, "z")}]}
     assert canonical_json(nested) == '{"x":["0.5",{"y":["1","z"]}]}'
+
+
+def stringify_ref(obj):
+    """canonical_json's value pass as one isinstance chain per value: the
+    reference."""
+    if isinstance(obj, float):
+        return fmt_float(obj)
+    if isinstance(obj, dict):
+        return {k: stringify_ref(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [stringify_ref(v) for v in obj]
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return fmt_float(obj)
+    if isinstance(obj, frozenset):
+        return sorted(obj)
+    return obj
+
+
+def canonical_json_ref(obj) -> str:
+    return json.dumps(stringify_ref(obj), sort_keys=True,
+                      separators=(",", ":"), ensure_ascii=False)
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+
+
+def test_canonical_json_matches_reference_chain():
+    values = [
+        {"a": [1, True, None, "s", 0.5, np.int64(7), np.float32(0.25)],
+         "b": (False, 2, (3.0, "t")), "c": frozenset({2, 1}),
+         "d": {"e": [[], {}, [None]], "f": np.uint8(255), "g": Level.LOW},
+         "h": -0.0, "i": 10 ** 30},
+        [True, 1, 1.0, "1", None], (), 3, "x", None, True, 2.5,
+    ]
+    for cfg in (default_noise_config("place_and_stack", planner="mock_vlm_rgb"),
+                SceneConfig(task="swap_cups", distractors=2)):
+        values += run_episode(cfg, 3).records
+    for value in values:
+        assert canonical_json(value) == canonical_json_ref(value)
 
 
 def test_config_hash_frozen():
