@@ -23,21 +23,13 @@ class UnknownNode(Exception):
 @dataclass(frozen=True)
 class MaskedObservation:
     views: dict          # view_id -> (masked label map, retention mask)
-    boxes: dict          # view_id -> (row0, row1, col0, col1) holding every
-    # retained pixel, or None when nothing is retained
+    visible: dict        # view_id -> sorted tuple of the source ids with a
+    # pixel in the masked map, found once when the observation is built
     subtask_cue: str
     relevant_ids: frozenset
 
     def visible_source_ids(self, view_id: str) -> list:
-        # the masked map is background outside the retention mask, so
-        # counting inside the box counts the retained pixels' ids only
-        box = self.boxes[view_id]
-        if box is None:
-            return []
-        labels, _ = self.views[view_id]
-        r0, r1, c0, c1 = box
-        present = np.flatnonzero(np.bincount(labels[r0:r1, c0:c1].ravel()))
-        return [int(v) for v in present if v != BACKGROUND]
+        return list(self.visible[view_id])
 
 
 def _retention(graph: SemanticGraph, relevant_ids, view_id: str,
@@ -71,25 +63,38 @@ def clutter_free_obs(raw_obs, graph: SemanticGraph, relevant_ids,
                      subtask_cue: str) -> MaskedObservation:
     """Label maps with every non-retained pixel set to the background."""
     views = {}
-    boxes = {}
+    visible = {}
     for view_id in sorted(raw_obs.views):
         labels = raw_obs.views[view_id].label_map
-        mask, boxes[view_id] = _retention(graph, relevant_ids, view_id,
-                                          labels.shape)
+        mask, box = _retention(graph, relevant_ids, view_id, labels.shape)
         masked = np.full_like(labels, BACKGROUND)
         np.copyto(masked, labels, where=mask)
         views[view_id] = (masked, mask)
-    return MaskedObservation(views=views, boxes=boxes, subtask_cue=subtask_cue,
+        # the masked map is background outside the retention mask, so
+        # counting inside the box counts the retained pixels' ids only
+        visible[view_id] = ()
+        if box is not None:
+            r0, r1, c0, c1 = box
+            present = np.flatnonzero(np.bincount(masked[r0:r1, c0:c1].ravel()))
+            visible[view_id] = tuple(int(v) for v in present if v != BACKGROUND)
+    return MaskedObservation(views=views, visible=visible,
+                             subtask_cue=subtask_cue,
                              relevant_ids=frozenset(relevant_ids))
 
 
 def raw_obs_passthrough(raw_obs, relevant_ids, subtask_cue: str) -> MaskedObservation:
-    """The no-masking ablation: full label maps, all-ones retention."""
+    """The no-masking ablation: full label maps, all-ones retention.
+
+    The label maps are the render's own read-only arrays, not copies, and
+    the visible ids are the views' record ids: the renderer keeps a record
+    for exactly the ids that have a pixel in the map."""
     views = {}
-    boxes = {}
+    visible = {}
     for view_id in sorted(raw_obs.views):
-        labels = raw_obs.views[view_id].label_map
-        views[view_id] = (labels.copy(), np.ones(labels.shape, dtype=bool))
-        boxes[view_id] = (0, labels.shape[0], 0, labels.shape[1])
-    return MaskedObservation(views=views, boxes=boxes, subtask_cue=subtask_cue,
+        view = raw_obs.views[view_id]
+        views[view_id] = (view.label_map,
+                          np.ones(view.label_map.shape, dtype=bool))
+        visible[view_id] = tuple(sorted(view.records))
+    return MaskedObservation(views=views, visible=visible,
+                             subtask_cue=subtask_cue,
                              relevant_ids=frozenset(relevant_ids))

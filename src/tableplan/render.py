@@ -13,7 +13,6 @@ opaque container render nothing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,41 +23,83 @@ from .region import Region
 from .world import WorldState, hidden_inside_opaque
 
 
-def rasterize_polygon(verts_px: np.ndarray) -> tuple:
-    """Even-odd rasterization against pixel centres.
+def _centres_below(v: np.ndarray, origin: np.ndarray) -> np.ndarray:
+    """How many pixel centres origin + 0.5 + k (k >= 0 an integer) lie
+    strictly below each v, counted exactly.
 
-    Returns (mask, (row0, col0)) where mask is a bounding-box boolean array;
-    the box is NOT clipped to any frame, so mask.sum() is the unoccluded
-    footprint area in pixels.
-
-    One scanline pass: each edge that straddles a row's centre line crosses
-    it at x1 + t * (x2 - x1), and every pixel centre left of a crossing
-    toggles once, so a pixel is inside when an odd number of that row's
-    crossings lie to its right.
+    That is ceil(v - 0.5) - origin, but a float v - (origin + 0.5) can round
+    onto the wrong side of an integer (a crossing at 31.500000000000004 in
+    a box from -10 gives 41.0, not 41.000000000000004, and so 41 centres,
+    not 42).  floor(v) and floor(v) + 0.5 are exact, and v lies past
+    floor(v) + 0.5 exactly when ceil(v - 0.5) is floor(v) + 1.
     """
-    cols = verts_px[:, 0]
-    rows = verts_px[:, 1]
-    c0 = int(math.floor(cols.min()))
-    c1 = int(math.ceil(cols.max()))
-    r0 = int(math.floor(rows.min()))
-    r1 = int(math.ceil(rows.max()))
-    width = max(c1 - c0, 1)
-    height = max(r1 - r0, 1)
-    px = c0 + 0.5 + np.arange(width, dtype=np.float64)
-    py = r0 + 0.5 + np.arange(height, dtype=np.float64)
-    nxt = np.roll(verts_px, -1, axis=0)
-    x1, y1 = verts_px[:, 0:1], verts_px[:, 1:2]
-    x2, y2 = nxt[:, 0:1], nxt[:, 1:2]
-    # (edge, row) pairs; a horizontal edge straddles no row, so t is finite
-    edge, row = np.nonzero((y1 <= py) != (y2 <= py))
-    x1, y1, x2, y2 = x1[edge, 0], y1[edge, 0], x2[edge, 0], y2[edge, 0]
-    t = (py[row] - y1) / (y2 - y1)
-    split = np.searchsorted(px, x1 + t * (x2 - x1))  # pixels left of it
-    counts = np.bincount(row * (width + 1) + split,
-                         minlength=height * (width + 1))
-    at_or_left = counts.reshape(height, width + 1).cumsum(axis=1)
-    inside = ((at_or_left[:, -1:] - at_or_left[:, :width]) & 1).astype(bool)
-    return inside, (r0, c0)
+    f = np.floor(v)
+    return (f + (v > f + 0.5)).astype(np.int64) - origin
+
+
+def rasterize_polygon(polygons) -> list:
+    """Even-odd rasterization of a batch of polygons against pixel centres.
+
+    `polygons` is a list of (N_i, 2) pixel-vertex (col, row) arrays.  Returns
+    one (mask, (row0, col0)) per polygon, where mask is a bounding-box
+    boolean array; the box is NOT clipped to any frame, so mask.sum() is the
+    unoccluded footprint area in pixels.  The masks are views of one array
+    shared by the batch: read them, never write them.
+
+    One scanline pass over the whole batch: each edge that straddles a
+    row's centre line crosses it at x1 + t * (x2 - x1), and every pixel
+    centre left of a crossing toggles once, so a pixel is inside when an odd
+    number of that row's crossings lie to its right.  A closed polygon
+    crosses every row an even number of times, so that is also the parity
+    of the crossings at or left of the pixel.  All boxes' pixels are laid
+    out row after row in one flat array, and each crossing is counted at
+    its row's start plus its count of pixel centres to the left; one right
+    of every centre lands on the next row's first pixel.  A running count
+    over the flat array then holds, at each pixel, its own row's crossings
+    at or left of it plus every crossing of every earlier row, an even
+    number, so its parity is the pixel's inside bit.
+    """
+    if not polygons:
+        return []
+    sizes = np.array([len(p) for p in polygons])
+    verts = np.concatenate(polygons)
+    starts = np.cumsum(sizes) - sizes
+    lo = np.floor(np.minimum.reduceat(verts, starts)).astype(np.int64)
+    hi = np.ceil(np.maximum.reduceat(verts, starts)).astype(np.int64)
+    (c0, r0), (width, height) = lo.T, np.maximum(hi - lo, 1).T
+    areas = height * width
+    pixel_base = np.cumsum(areas) - areas
+
+    # edge i runs from vertex i to the next vertex of its polygon; it
+    # straddles the rows whose centre py has min(y1, y2) <= py < max(y1, y2),
+    # so a horizontal edge straddles none
+    poly = np.repeat(np.arange(len(polygons)), sizes)
+    nxt = np.arange(1, len(verts) + 1)
+    nxt[starts + sizes - 1] = starts
+    (x1, y1), (x2, y2) = verts.T, verts[nxt].T
+    first, stop = _centres_below(np.stack([np.minimum(y1, y2),
+                                           np.maximum(y1, y2)]), r0[poly])
+    n_rows = stop - first
+
+    # one (edge, row) pair per crossing
+    edge = np.repeat(np.arange(len(verts)), n_rows)
+    p = poly[edge]
+    row = np.arange(len(edge)) + np.repeat(first - (np.cumsum(n_rows) - n_rows),
+                                           n_rows)
+    # exact row centres, and the crossing in the same float operations and
+    # order as per-row scanning, so every crossing is the same float
+    py = (r0[p] + 0.5) + row
+    x1, y1, x2, y2 = x1[edge], y1[edge], x2[edge], y2[edge]
+    t = (py - y1) / (y2 - y1)
+    split = _centres_below(x1 + t * (x2 - x1), c0[p])
+
+    # the extra last slot takes crossings right of the last row's centres
+    counts = np.bincount(pixel_base[p] + row * width[p] + split,
+                         minlength=int(areas.sum()) + 1)
+    inside = np.logical_xor.accumulate((counts[:-1] & 1).astype(bool))
+    return [(inside[a:a + h * w].reshape(h, w), (r, c))
+            for a, h, w, r, c in zip(pixel_base.tolist(), height.tolist(),
+                                     width.tolist(), r0.tolist(), c0.tolist())]
 
 
 @dataclass(frozen=True)
@@ -92,7 +133,7 @@ class _ViewState:
     """What one camera's last render leaves for the next."""
     label: np.ndarray
     painted: dict  # object id -> (raster key, clipped box)
-    regions: dict  # object id -> Region, visible objects only
+    records: dict  # object id -> ViewRecord, visible objects only
 
 
 class Renderer:
@@ -101,21 +142,26 @@ class Renderer:
 
     Polygon rasters are cached with their footprint area under (object id,
     pose, view), so within an episode only the one or two objects a chunk
-    moved get re-rasterized.  For each camera the renderer keeps the last
-    label map and, for each object painted into it, the object's raster key
-    and frame-clipped box.  An object whose entry differs from the last
-    render's has changed: it moved, changed z layer, was hidden inside an
-    opaque container, reappeared, or left the frame.  The old and new boxes
-    of every changed object are dirty.  The new label map is the last one
-    with each dirty box cleared and repainted back to front; a pixel outside
-    every dirty box is covered by the same objects, in the same order, as
-    before, so it cannot differ.
+    moved get re-rasterized; a render projects the footprints the cache
+    lacks with one `to_px` call per camera and rasterizes them, for both
+    cameras together, in one `rasterize_polygon` call (none when nothing
+    moved).  For each camera the renderer keeps the last label map and, for
+    each object painted into it, the object's raster key and frame-clipped
+    box.  An object whose entry differs from the last render's has changed:
+    it moved, changed z layer, was hidden inside an opaque container,
+    reappeared, or left the frame.  The old and new boxes of every changed
+    object are dirty.  The new label map is the last one with each dirty box
+    cleared and repainted back to front; a pixel outside every dirty box is
+    covered by the same objects, in the same order, as before, so it cannot
+    differ.
 
     An object's visible pixels all lie in the box it was painted into (later
     paints only overwrite), so an object whose box misses every dirty box --
     it did not change, since its own box would be dirty -- keeps the last
-    render's Region, with its hull and RLE runs.  Every other visible object
-    gets a Region computed from its box alone, never from a whole-frame pass.
+    render's ViewRecord whole: its Region, with hull and RLE runs, and its
+    class, attributes and feature, which an object never changes.  Every
+    other visible object gets a Region computed from its box alone, never
+    from a whole-frame pass.
 
     The first render is the same code starting from an empty frame with no
     painted objects, so every object is changed.  Label maps are read-only
@@ -126,6 +172,8 @@ class Renderer:
     def __init__(self, cameras, lift_m: float):
         self.cameras = list(cameras)
         self.lift_m = lift_m
+        # raster key -> (mask, origin, footprint area, frame-clipped box or
+        # None when the raster misses the frame)
         self._cache: dict = {}
         self._views = {}
         for cam in self.cameras:
@@ -133,45 +181,64 @@ class Renderer:
             self._views[cam.view_id] = _ViewState(
                 np.zeros((h, w), dtype=np.int32), {}, {})
 
-    def _raster(self, obj, cam: CameraConfig) -> tuple:
-        """(raster key, (mask, (row0, col0), footprint area))."""
-        key = (obj.id, obj.x, obj.y, obj.z_layer, cam.view_id)
-        hit = self._cache.get(key)
-        if hit is None:
-            verts = np.array(obj.footprint, dtype=np.float64)
-            lifted_y = obj.y - (obj.z_layer - 1) * self.lift_m
-            world_pts = verts + np.array([obj.x, lifted_y])
+    def _rasterize_missing(self, drawable: list) -> dict:
+        """view id -> each drawable object's raster key, after caching the
+        raster of every key the cache lacks."""
+        keys = {}
+        missed = []     # (raster key, image size), in polygon order
+        polygons = []   # (N_i, 2) pixel vertices
+        for cam in self.cameras:
+            view_keys = [(o.id, o.x, o.y, o.z_layer, cam.view_id)
+                         for o in drawable]
+            keys[cam.view_id] = view_keys
+            misses = [(o, key) for o, key in zip(drawable, view_keys)
+                      if key not in self._cache]
+            if not misses:
+                continue
+            missed.extend((key, cam.image_size) for _, key in misses)
+            objs = [o for o, _ in misses]
+            sizes = [len(o.footprint) for o in objs]
+            verts = np.array([v for o in objs for v in o.footprint],
+                             dtype=np.float64)
+            lifted = np.array([(o.x, o.y - (o.z_layer - 1) * self.lift_m)
+                               for o in objs])
+            world_pts = verts + np.repeat(lifted, sizes, axis=0)
             px = np.stack(cam.to_px(world_pts[:, 0], world_pts[:, 1]), axis=1)
-            mask, origin = rasterize_polygon(px)
-            hit = (mask, origin, int(mask.sum()))
-            self._cache[key] = hit
-        return key, hit
+            end = np.cumsum(sizes).tolist()
+            polygons.extend(px[b - n:b] for b, n in zip(end, sizes))
+        if polygons:
+            rasters = rasterize_polygon(polygons)
+            for (key, (w, h)), (mask, (r0, c0)) in zip(missed, rasters):
+                mh, mw = mask.shape
+                box = (max(r0, 0), min(r0 + mh, h), max(c0, 0), min(c0 + mw, w))
+                if box[0] >= box[1] or box[2] >= box[3]:
+                    box = None
+                self._cache[key] = (mask, (r0, c0), int(mask.sum()), box)
+        return keys
 
     def render(self, world: WorldState) -> RawObservation:
         drawable = sorted(
             (o for o in world.objects if not hidden_inside_opaque(world, o)),
             key=lambda o: (o.z_layer, o.id))
-        views = {cam.view_id: self._render_view(world, drawable, cam)
+        keys = self._rasterize_missing(drawable)
+        views = {cam.view_id: self._render_view(world, drawable,
+                                                keys[cam.view_id], cam)
                  for cam in self.cameras}
         return RawObservation(
             step=world.step_count, views=views,
             gripper_free=world.gripper.free, held_object_id=world.gripper.held,
         )
 
-    def _render_view(self, world: WorldState, drawable: list,
+    def _render_view(self, world: WorldState, drawable: list, keys: list,
                      cam: CameraConfig) -> ViewObservation:
         prev = self._views[cam.view_id]
-        h, w = prev.label.shape
         painted = {}  # object id -> (raster key, clipped box)
         paints = []   # (object id, mask, origin, clipped box), back to front
-        for obj in drawable:
-            key, (mask, (r0, c0), _) = self._raster(obj, cam)
-            mh, mw = mask.shape
-            box = (max(r0, 0), min(r0 + mh, h), max(c0, 0), min(c0 + mw, w))
-            if box[0] >= box[1] or box[2] >= box[3]:
-                continue
-            painted[obj.id] = (key, box)
-            paints.append((obj.id, mask, (r0, c0), box))
+        for obj, key in zip(drawable, keys):
+            mask, origin, _, box = self._cache[key]
+            if box is not None:
+                painted[obj.id] = (key, box)
+                paints.append((obj.id, mask, origin, box))
         dirty = []
         for oid in painted.keys() | prev.painted.keys():
             old, new = prev.painted.get(oid), painted.get(oid)
@@ -182,7 +249,7 @@ class Renderer:
         for r0, r1, c0, c1 in dirty:
             label[r0:r1, c0:c1] = 0
         # the part of each painted box inside each dirty box, back to front;
-        # an object whose box meets no dirty box keeps its last Region
+        # an object whose box meets no dirty box keeps its last ViewRecord
         boxes = np.array([p[3] for p in paints], dtype=np.int64).reshape(-1, 1, 4)
         dirt = np.array(dirty, dtype=np.int64).reshape(1, -1, 4)
         lo = np.maximum(boxes[..., 0::2], dirt[..., 0::2])
@@ -196,21 +263,20 @@ class Renderer:
             label[r0:r1, c0:c1][sub] = oid
         label.setflags(write=False)
 
-        regions = {}
         records = {}
         for obj in world.objects:
             oid = obj.id
             if oid not in painted:
                 continue
+            if oid not in touched:
+                if oid in prev.records:
+                    records[oid] = prev.records[oid]
+                continue
             key, (r0, r1, c0, c1) = painted[oid]
-            if oid in touched:
-                region = Region.from_sub(label[r0:r1, c0:c1] == oid, (r0, c0),
-                                         label.shape)
-            else:
-                region = prev.regions.get(oid)
+            region = Region.from_sub(label[r0:r1, c0:c1] == oid, (r0, c0),
+                                     label.shape)
             if region is None:
                 continue
-            regions[oid] = region
             footprint = self._cache[key][2]
             records[oid] = ViewRecord(
                 object_id=oid, class_name=obj.class_name,
@@ -219,7 +285,7 @@ class Renderer:
                 region=region,
                 visible_fraction=region.area / max(footprint, 1),
             )
-        self._views[cam.view_id] = _ViewState(label, painted, regions)
+        self._views[cam.view_id] = _ViewState(label, painted, records)
         return ViewObservation(cam.view_id, cam.image_size, label, records)
 
 

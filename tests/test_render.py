@@ -7,6 +7,7 @@ from tableplan import render, world as world_mod
 from tableplan.config import (DEFAULT_CAMERAS, CameraConfig, SceneConfig,
                               perfect_config)
 from tableplan.harness import run_episode
+from tableplan.prompting import raw_obs_passthrough
 from tableplan.render import Renderer, rasterize_polygon, render_views
 from tableplan.world import (Primitive, apply_primitive, hidden_inside_opaque,
                              init_world)
@@ -140,13 +141,24 @@ def reference_rasterize(verts_px: np.ndarray) -> tuple:
     return inside, (r0, c0)
 
 
+def assert_same_rasters(batch: list) -> list:
+    """Rasterize the batch in one call; each polygon's mask and origin must
+    equal the reference's, bit for bit."""
+    out = rasterize_polygon(batch)
+    assert type(out) is list and len(out) == len(batch)
+    masks = []
+    for verts, (mask, origin) in zip(batch, out):
+        want, want_origin = reference_rasterize(verts)
+        assert origin == want_origin
+        assert all(type(v) is int for v in origin)
+        assert mask.dtype == want.dtype and mask.shape == want.shape
+        assert np.array_equal(mask, want)
+        masks.append(mask)
+    return masks
+
+
 def assert_same_raster(verts):
-    mask, origin = rasterize_polygon(verts)
-    want, want_origin = reference_rasterize(verts)
-    assert origin == want_origin
-    assert mask.dtype == want.dtype and mask.shape == want.shape
-    assert np.array_equal(mask, want)
-    return mask
+    return assert_same_rasters([verts])[0]
 
 
 def _self_intersecting(verts: np.ndarray) -> bool:
@@ -165,33 +177,72 @@ def _self_intersecting(verts: np.ndarray) -> bool:
     return False
 
 
+FAMILIES = ("generic", "vertex_on_centre", "horizontal", "sliver",
+            "negative_centre")
+
+
+def random_polygon(rng: np.random.Generator, family: str) -> np.ndarray:
+    n = int(rng.integers(3, 13))
+    verts = rng.uniform(-15.0, 45.0, size=(n, 2))
+    if family == "vertex_on_centre":
+        verts = np.floor(verts) + 0.5
+    elif family == "horizontal":  # edges along a row of pixel centres
+        verts[1, 1] = verts[0, 1] = math.floor(verts[0, 1]) + 0.5
+    elif family == "sliver":  # thin slivers and near-degenerate shapes
+        verts[:, 0] = verts[0, 0] + rng.uniform(0.0, 1.5, size=n)
+    elif family == "negative_centre":
+        # pixel-centre vertices left of and above the origin: the box starts
+        # at a negative column and row, where x - (c0 + 0.5) rounds
+        verts = np.floor(rng.uniform(-40.0, 5.0, size=(n, 2))) + 0.5
+    return verts
+
+
 def test_rasterize_matches_reference_on_random_polygons():
     rng = np.random.default_rng(20261018)
-    seen = {"self_intersecting": 0, "vertex_on_centre": 0, "horizontal": 0,
-            "empty": 0}
+    seen = dict.fromkeys(("self_intersecting", "empty") + FAMILIES[:4], 0)
     for i in range(3000):
-        n = int(rng.integers(3, 13))
-        verts = rng.uniform(-15.0, 45.0, size=(n, 2))
-        if i % 4 == 1:  # vertices exactly on pixel centres
-            verts = np.floor(verts) + 0.5
-            seen["vertex_on_centre"] += 1
-        elif i % 4 == 2:  # edges along a row of pixel centres
-            verts[1, 1] = verts[0, 1] = math.floor(verts[0, 1]) + 0.5
-            seen["horizontal"] += 1
-        elif i % 4 == 3:  # thin slivers and near-degenerate shapes
-            verts[:, 0] = verts[0, 0] + rng.uniform(0.0, 1.5, size=n)
+        family = FAMILIES[i % 4]
+        verts = random_polygon(rng, family)
+        seen[family] += 1
         seen["self_intersecting"] += _self_intersecting(verts)
         seen["empty"] += not assert_same_raster(verts).any()
     assert min(seen.values()) > 0, seen
 
 
-def test_rasterize_matches_reference_on_episode_footprints(monkeypatch):
-    # every raster a few real episodes ask for, scattered poses included
-    calls = []
+def test_rasterize_batches_match_reference():
+    # mixed batches of every polygon family, each polygon against the
+    # reference; the batch sizes include the empty and the single batch
+    rng = np.random.default_rng(7)
+    seen = dict.fromkeys(FAMILIES, 0)
+    for size in (0, 1, 2, 37):
+        for _ in range(60):
+            families = [FAMILIES[int(i)] for i in
+                        rng.integers(len(FAMILIES), size=size)]
+            assert_same_rasters([random_polygon(rng, f) for f in families])
+            for f in families:
+                seen[f] += 1
+    assert rasterize_polygon([]) == []
+    assert min(seen.values()) > 0, seen
 
-    def recording(verts):
-        calls.append(np.array(verts))
-        return rasterize_polygon(verts)
+
+def test_rasterize_counts_negative_crossings_exactly():
+    # an edge crossing a row centre at 31.500000000000004 in a box starting
+    # at column -10: ceil(x - (c0 + 0.5)) rounds to 41, but 42 pixel centres
+    # (-9.5 .. 31.5) lie left of the crossing
+    verts = np.array([[31.500000000000004, 0.25], [31.500000000000004, 0.75],
+                      [-10.0, 0.75], [-10.0, 0.25]])
+    mask = assert_same_raster(verts)
+    assert mask.shape == (1, 42) and mask.all()
+
+
+def test_rasterize_matches_reference_on_episode_footprints(monkeypatch):
+    # every polygon of every batch a few real episodes ask for, each batch
+    # checked as it was rasterized; scattered poses make one batch a scene
+    batches = []
+
+    def recording(polygons):
+        batches.append([np.array(verts) for verts in polygons])
+        return rasterize_polygon(polygons)
 
     monkeypatch.setattr(render, "rasterize_polygon", recording)
     for task in ("swap_cups", "pnp_twice", "place_and_stack"):
@@ -199,14 +250,20 @@ def test_rasterize_matches_reference_on_episode_footprints(monkeypatch):
             run_episode(perfect_config(task, distractors=8, vision="raw"), seed)
     monkeypatch.undo()
     for cfg, world, _ in scattered_scenes(20, seed=7):
+        batch = []
         for cam_cfg in cfg.cameras:
             for obj in world.objects:
                 verts = np.array(obj.footprint) + [
                     obj.x, obj.y - (obj.z_layer - 1) * cfg.geometry["lift_m"]]
-                calls.append(project(cam_cfg, verts))
-    seen = {"horizontal_edge": 0, "slanted_edge": 0, "past_frame_edge": 0}
+                batch.append(project(cam_cfg, verts))
+        batches.append(batch)
+    seen = {"horizontal_edge": 0, "slanted_edge": 0, "past_frame_edge": 0,
+            "batch_of_many": 0}
+    for batch in batches:
+        assert_same_rasters(batch)
+        seen["batch_of_many"] += len(batch) > 1
+    calls = [verts for batch in batches for verts in batch]
     for verts in calls:
-        assert_same_raster(verts)
         dy = np.roll(verts[:, 1], -1) - verts[:, 1]
         seen["horizontal_edge"] += bool((dy == 0).any())
         seen["slanted_edge"] += bool((dy != 0).all())
@@ -217,7 +274,7 @@ def test_rasterize_matches_reference_on_episode_footprints(monkeypatch):
 def test_rasterize_square_area():
     # unit-ish square: area in pixels tracks the polygon area
     verts = np.array([[10.0, 10.0], [30.0, 10.0], [30.0, 30.0], [10.0, 30.0]])
-    mask, (r0, c0) = rasterize_polygon(verts)
+    [(mask, (r0, c0))] = rasterize_polygon([verts])
     assert (r0, c0) == (10, 10)
     assert int(mask.sum()) == 400
 
@@ -226,7 +283,7 @@ def test_rasterize_circle_area():
     radius = 15.0
     verts = np.array([[radius * math.cos(a) + 50, radius * math.sin(a) + 50]
                       for a in np.linspace(0, 2 * math.pi, 24, endpoint=False)])
-    mask, _ = rasterize_polygon(verts)
+    [(mask, _)] = rasterize_polygon([verts])
     assert int(mask.sum()) == pytest.approx(math.pi * radius**2, rel=0.05)
 
 
@@ -329,6 +386,36 @@ def test_renderer_cache_consistent():
                               moved.views["overhead"].label_map)
 
 
+def test_render_rasterizes_only_what_moved_in_one_call(monkeypatch):
+    batches = []
+
+    def recording(polygons):
+        batches.append(len(polygons))
+        return rasterize_polygon(polygons)
+
+    monkeypatch.setattr(render, "rasterize_polygon", recording)
+    cfg, world = scene("swap_cups", seed=1, distractors=3)
+    r = Renderer(cfg.cameras, cfg.geometry["lift_m"])
+    r.render(world)
+    # the first render rasterizes every object in both views in one call
+    assert batches == [len(world.objects) * len(cfg.cameras)]
+    again = r.render(world)
+    assert batches == [len(world.objects) * len(cfg.cameras)]
+    assert again.views["overhead"].records  # nothing moved, nothing rasterized
+    cup = world.by_class("cup")[0]
+    before = {o.id: (o.x, o.y, o.z_layer) for o in world.objects}
+    moved, _ = apply_primitive(world, Primitive(kind="pick", target=cup.id))
+    changed = {o.id for o in moved.objects
+               if (o.x, o.y, o.z_layer) != before[o.id]}
+    assert cup.id in changed
+    r.render(moved)
+    assert batches[1:] == [len(changed) * len(cfg.cameras)]
+    waited, _ = apply_primitive(moved, Primitive(kind="no_op", target=cup.id))
+    assert waited.step_count > moved.step_count
+    r.render(waited)
+    assert len(batches) == 2
+
+
 def test_occlusion_paint_order():
     # higher z paints over lower z where they overlap
     cfg, world = scene("pnp_twice", seed=3)
@@ -371,7 +458,7 @@ def test_box_local_records_match_full_frame():
 def _on_frame(obj, cam: CameraConfig, lift_m: float) -> bool:
     """Whether the object's unclipped raster box meets the frame."""
     verts = np.array(obj.footprint) + [obj.x, obj.y - (obj.z_layer - 1) * lift_m]
-    mask, (r0, c0) = rasterize_polygon(project(cam, verts))
+    [(mask, (r0, c0))] = rasterize_polygon([project(cam, verts)])
     w, h = cam.image_size
     return (r0 < h and c0 < w and r0 + mask.shape[0] > 0
             and c0 + mask.shape[1] > 0)
@@ -387,10 +474,13 @@ def _status(world, obj, cam, lift_m, records) -> str:
 
 def test_incremental_render_matches_fresh_render():
     # one Renderer carried through seeded move sequences against a fresh
-    # Renderer per frame: same label maps, records and regions
+    # Renderer per frame: same label maps, records and regions; a carried
+    # record is the last frame's object, equal to the fresh one field by
+    # field, and the passthrough sees exactly the ids in the label map
     rng = np.random.default_rng(20261018)
     seen = {"off_frame_and_back": 0, "hidden_and_revealed": 0,
-            "z_change": 0, "occluded_and_back": 0, "region_kept": 0}
+            "z_change": 0, "occluded_and_back": 0, "region_kept": 0,
+            "record_kept": 0}
     for _ in range(12):
         cfg, worlds = move_sequence(rng, 40)
         lift = cfg.geometry["lift_m"]
@@ -400,21 +490,32 @@ def test_incremental_render_matches_fresh_render():
         for world in worlds:
             raw = carried.render(world)
             fresh = Renderer(cfg.cameras, lift).render(world)
+            passthrough = raw_obs_passthrough(raw, [], "cue")
             for view_id, view in raw.views.items():
                 want = fresh.views[view_id]
                 assert np.array_equal(view.label_map, want.label_map)
+                assert passthrough.visible_source_ids(view_id) == \
+                    sorted(set(np.unique(view.label_map).tolist()) - {0})
                 assert list(view.records) == list(want.records)
                 for oid, rec in view.records.items():
-                    a, b = rec.region, want.records[oid].region
+                    fresh_rec = want.records[oid]
+                    a, b = rec.region, fresh_rec.region
                     assert a.origin == b.origin
                     assert np.array_equal(a.crop, b.crop)
                     assert a.area == b.area and a.centroid == b.centroid
-                    assert rec.visible_fraction == \
-                        want.records[oid].visible_fraction
+                    assert rec.visible_fraction == fresh_rec.visible_fraction
+                    assert (rec.object_id, rec.class_name, rec.attributes) \
+                        == (fresh_rec.object_id, fresh_rec.class_name,
+                            fresh_rec.attributes)
+                    assert np.array_equal(rec.base_feature,
+                                          fresh_rec.base_feature)
                     if prev_raw is not None:
                         old = prev_raw.views[view_id].records.get(oid)
-                        seen["region_kept"] += old is not None and \
-                            old.region is a
+                        kept = old is not None and old.region is a
+                        # a carried region comes in its carried record
+                        assert kept == (old is rec)
+                        seen["region_kept"] += kept
+                        seen["record_kept"] += old is rec
                 for obj in world.objects:
                     now = _status(world, obj, cams[view_id], lift,
                                   view.records)
