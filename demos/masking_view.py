@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import argparse
 
+import numpy as np
+
 from tableplan.config import perfect_config
 from tableplan.dsl import evaluate_policy
 from tableplan.graph import init_graph
 from tableplan.harness import load_task_program
 from tableplan.perception import make_task_spec
-from tableplan.prompting import clutter_free_obs, raw_obs_passthrough
+from tableplan.prompting import (BACKGROUND, clutter_free_obs,
+                                 raw_obs_passthrough, retention_mask)
 from tableplan.render import render_views
 from tableplan.world import init_world
 
@@ -56,9 +59,12 @@ def main() -> int:
 
     masked = clutter_free_obs(raw, graph, relevant, out.subtask_instruction)
     passthrough = raw_obs_passthrough(raw, relevant, out.subtask_instruction)
-    for title, obs in (("raw", passthrough), ("masked", masked)):
-        labels, _ = obs.views["overhead"]
-        n = len(obs.visible_source_ids("overhead"))
+    label = raw.views["overhead"].label_map
+    retained = retention_mask(graph, relevant, "overhead", label.shape)
+    for title, obs, labels in (
+            ("raw", passthrough, label),
+            ("masked", masked, np.where(retained, label, BACKGROUND))):
+        n = len(obs.visible["overhead"])
         print(f"-- overhead, {title}: {n} objects visible --")
         print(_ascii(labels))
         print()

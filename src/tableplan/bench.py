@@ -8,14 +8,14 @@ itself and nothing is paired wrongly.
 
 from __future__ import annotations
 
-from .config import AssocThresholds, NoiseConfig, SceneConfig
+from .config import (CUSTOM_CLASSES, AssocThresholds, NoiseConfig,
+                     SceneConfig)
 from .graph import associate
 from .perception import make_task_spec, segment
 from .render import render_views
 from .rng import Rng
 from .world import LayoutInfeasible, init_world
 
-_CLASSES = ("cube", "cup", "plate", "sponge", "marker", "bottle", "tape", "block")
 _COLORS = ("red", "green", "blue", "black", "yellow", "purple", "orange", "white")
 
 
@@ -26,7 +26,7 @@ def random_scene_config(seed: int, max_objects: int = 8) -> SceneConfig:
     objs = []
     plates = 0
     for _ in range(n):
-        cls = _CLASSES[rng.randrange(len(_CLASSES))]
+        cls = CUSTOM_CLASSES[rng.randrange(len(CUSTOM_CLASSES))]
         if cls == "plate":
             # plates are large; more than two rarely fit with full visibility
             plates += 1

@@ -15,6 +15,9 @@ from typing import Any
 TASKS = ("pnp_twice", "place_and_stack", "swap_cups", "custom")
 PLANNER_MODES = ("code", "markovian", "mock_vlm_graph", "mock_vlm_rgb")
 VISION_MODES = ("masked", "raw")
+# object classes a custom scene may place; the arm is always added
+CUSTOM_CLASSES = ("cube", "cup", "plate", "sponge", "marker", "bottle", "tape",
+                  "block")
 
 
 class ConfigError(Exception):
@@ -156,13 +159,15 @@ class SceneConfig:
             raise ConfigError(f"unknown planner mode {self.planner!r}")
         if self.vision not in VISION_MODES:
             raise ConfigError(f"unknown vision mode {self.vision!r}")
+        for name in ("distractors", "chunk_horizon", "step_budget"):
+            _integer(getattr(self, name), name)
         if self.distractors < 0:
             raise ConfigError("distractors must be >= 0")
         if self.chunk_horizon < 2:
             raise ConfigError("chunk_horizon must be >= 2")
         if self.step_budget < 1:
             raise ConfigError("step_budget must be >= 1")
-        w, h = self.table_bounds
+        w, h = _numbers(self.table_bounds, "table_bounds", 2)
         if w <= 0 or h <= 0:
             raise ConfigError("table_bounds must be positive")
         if self.near_threshold_m <= 0:
@@ -178,6 +183,11 @@ class SceneConfig:
         self.executor_error.validate()
         if self.task == "custom" and not self.custom_objects:
             raise ConfigError("custom task needs custom_objects")
+        for spec in self.custom_objects:
+            if spec.get("class") not in CUSTOM_CLASSES:
+                raise ConfigError(f"custom object class must be one of "
+                                  f"{', '.join(CUSTOM_CLASSES)}, got "
+                                  f"{spec.get('class')!r}")
 
     # -- serialization ----------------------------------------------------
 
@@ -197,7 +207,7 @@ class SceneConfig:
         kw: dict[str, Any] = {}
         for key, value in raw.items():
             if key == "cameras":
-                kw[key] = tuple(_camera_from(v) for v in value)
+                kw[key] = tuple(_camera_from(v) for v in _list(value, key))
             elif key == "perception_noise":
                 kw[key] = _sub(NoiseConfig, value, key)
             elif key == "executor_error":
@@ -205,25 +215,14 @@ class SceneConfig:
             elif key == "thresholds":
                 kw[key] = _sub(AssocThresholds, value, key)
             elif key == "table_bounds":
-                kw[key] = tuple(float(v) for v in value)
+                kw[key] = _numbers(value, key, 2)
             elif key in ("near_threshold_m", "overlap_tolerance",
                          "mock_latency_s", "mock_flake_p"):
-                kw[key] = float(value)
+                kw[key] = _number(value, key)
             elif key == "geometry":
-                merged = dict(DEFAULT_GEOMETRY)
-                merged.update(value)
-                kw[key] = {k: (tuple(float(x) for x in v)
-                               if isinstance(v, (list, tuple)) else float(v))
-                           for k, v in merged.items()}
+                kw[key] = _geometry(value)
             elif key == "custom_objects":
-                objs = []
-                for spec in value:
-                    spec = dict(spec)
-                    if "position" in spec:
-                        spec["position"] = tuple(float(x)
-                                                 for x in spec["position"])
-                    objs.append(spec)
-                kw[key] = tuple(objs)
+                kw[key] = tuple(_custom_object(v) for v in _list(value, key))
             else:
                 kw[key] = value
         cfg = cls(**kw)
@@ -240,8 +239,49 @@ class SceneConfig:
 
     @classmethod
     def load(cls, path: str) -> "SceneConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+        return cls.from_json(read_text(path))
+
+
+def read_text(path) -> str:
+    """A UTF-8 text file's contents; ConfigError naming the file when its
+    bytes are not UTF-8."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at "
+                              f"byte {exc.start})") from None
+
+
+# Value checks for from_dict.  Log headers carry floats as '%.9g' strings,
+# so a number may also come as a string float() reads; a bool is no number.
+
+def _number(value, key: str) -> float:
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{key} must be a number, got {value!r}")
+
+
+def _integer(value, key: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _list(value, key: str):
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key} must be a list, got {value!r}")
+    return value
+
+
+def _numbers(value, key: str, count: int, item=_number) -> tuple:
+    if not isinstance(value, (list, tuple)) or len(value) != count:
+        raise ConfigError(f"{key} must be a list of {count} numbers, "
+                          f"got {value!r}")
+    return tuple(item(v, key) for v in value)
 
 
 def _sub(cls, value, key):
@@ -251,22 +291,52 @@ def _sub(cls, value, key):
     unknown = set(value) - known
     if unknown:
         raise ConfigError(f"unknown keys in {key}: {sorted(unknown)}")
-    # Log headers carry floats as 9-significant-digit strings; accept both.
-    return cls(**{k: float(v) for k, v in value.items()})
+    return cls(**{k: _number(v, f"{key}.{k}") for k, v in value.items()})
+
+
+def _geometry(value) -> dict:
+    """The defaults updated by `value`; a key keeps its default's shape."""
+    if not isinstance(value, dict):
+        raise ConfigError("geometry must be an object")
+    merged = dict(DEFAULT_GEOMETRY)
+    merged.update(value)
+    out = {}
+    for k, v in merged.items():
+        like = DEFAULT_GEOMETRY.get(k, v)
+        if isinstance(like, (list, tuple)):
+            out[k] = _numbers(v, f"geometry.{k}", len(like))
+        else:
+            out[k] = _number(v, f"geometry.{k}")
+    return out
+
+
+def _custom_object(value) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError("custom_objects entries must be objects")
+    spec = dict(value)
+    if "position" in spec:
+        spec["position"] = _numbers(spec["position"], "position", 2)
+    return spec
 
 
 def _camera_from(value) -> CameraConfig:
     if not isinstance(value, dict):
         raise ConfigError("camera entries must be objects")
+    if not isinstance(value.get("view_id", ""), str):
+        raise ConfigError(f"camera view_id must be a string, "
+                          f"got {value['view_id']!r}")
     try:
-        size = tuple(int(v) for v in value["image_size"])
+        size = _numbers(value["image_size"], "image_size", 2, _integer)
         return CameraConfig(
             view_id=value["view_id"],
             image_size=size,
-            px_per_m=float(value["px_per_m"]),
-            rotation_deg=float(value.get("rotation_deg", 0.0)),
-            center_px=tuple(float(v) for v in value.get("center_px", (size[0] / 2, size[1] / 2))),
-            look_at=tuple(float(v) for v in value.get("look_at", (0.5, 0.375))),
+            px_per_m=_number(value["px_per_m"], "px_per_m"),
+            rotation_deg=_number(value.get("rotation_deg", 0.0),
+                                 "rotation_deg"),
+            center_px=_numbers(value.get("center_px",
+                                         (size[0] / 2, size[1] / 2)),
+                               "center_px", 2),
+            look_at=_numbers(value.get("look_at", (0.5, 0.375)), "look_at", 2),
         )
     except KeyError as exc:
         raise ConfigError(f"camera entry missing key {exc}") from exc

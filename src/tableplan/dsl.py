@@ -33,6 +33,8 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
+from .config import read_text
+
 HOLE_RE = re.compile(r"\{([A-Za-z0-9_\-]+)\}")
 ATOM_RE = re.compile(r"[A-Za-z0-9_:\-]+")
 OBJECT_KEYWORDS = {":class": "class", ":color": "color", ":in": "in",
@@ -449,8 +451,7 @@ def parse_program(text: str) -> PlannerProgram:
 
 
 def load_program(path) -> PlannerProgram:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_program(fh.read())
+    return parse_program(read_text(path))
 
 
 # -- interpreter ------------------------------------------------------------------

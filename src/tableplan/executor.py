@@ -67,19 +67,6 @@ class GroundedSubtask:
     mis_grounded: Optional[str]   # role that was rebound, if any
 
 
-def _node_source_id(node) -> Optional[int]:
-    for view_id in sorted(node.groundings):
-        return node.groundings[view_id].source_id
-    return None
-
-
-def _visible_sources(obs: MaskedObservation) -> set:
-    out: set = set()
-    for view_id in obs.views:
-        out.update(obs.visible_source_ids(view_id))
-    return out
-
-
 def ground_targets(graph: SemanticGraph, obs: MaskedObservation, rng: Rng,
                    error: GroundingErrorModel) -> GroundedSubtask:
     """Resolve the cue's names to simulator ids, with stochastic mis-grounding.
@@ -90,7 +77,7 @@ def ground_targets(graph: SemanticGraph, obs: MaskedObservation, rng: Rng,
     then role index, then replacement index.
     """
     verb, names = parse_subtask(obs.subtask_cue)
-    visible = _visible_sources(obs)
+    visible = set().union(*obs.visible.values())
 
     node_ids = {}
     targets = {}
@@ -100,7 +87,7 @@ def ground_targets(graph: SemanticGraph, obs: MaskedObservation, rng: Rng,
         if node_id is None:
             raise UnknownVerbPattern(f"cue names unknown object {name!r}")
         node = graph.nodes[node_id]
-        source = _node_source_id(node)
+        source = node.source_id
         if source is None:
             raise TargetInvisible(f"{name} has no grounding in any view")
         if source not in visible and graph.held_node != node_id:
@@ -109,19 +96,14 @@ def ground_targets(graph: SemanticGraph, obs: MaskedObservation, rng: Rng,
                 parent = graph.supported_by(node_id)
             parent_src = None
             if parent is not None:
-                parent_src = _node_source_id(graph.nodes[parent])
+                parent_src = graph.nodes[parent].source_id
             if parent_src is None or parent_src not in visible:
                 raise TargetInvisible(f"{name} is not visible in any view")
         node_ids[role] = node_id
         targets[role] = source
 
-    relevant_sources = set()
-    for nid in obs.relevant_ids:
-        node = graph.nodes.get(nid)
-        if node is not None:
-            src = _node_source_id(node)
-            if src is not None:
-                relevant_sources.add(src)
+    relevant_sources = {graph.nodes[nid].source_id for nid in obs.relevant_ids
+                        if nid in graph.nodes} - {None}
     clutter = len(visible - relevant_sources)
 
     roles = next(r for v, r, _ in VERB_PATTERNS if v == verb)

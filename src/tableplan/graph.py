@@ -62,6 +62,14 @@ class GraphNode:
     def seen(self, step: int) -> bool:
         return any(g.seen_step == step for g in self.groundings.values())
 
+    @property
+    def source_id(self) -> Optional[int]:
+        """The simulator id the node stands for: the source of its grounding
+        in the first view in sorted order, None when it has no grounding."""
+        for view_id in sorted(self.groundings):
+            return self.groundings[view_id].source_id
+        return None
+
 
 @dataclass
 class SemanticGraph:

@@ -17,11 +17,11 @@ from importlib import resources
 from typing import Callable, Optional
 
 from . import __version__
-from .config import ConfigError, SceneConfig
+from .config import ConfigError, SceneConfig, read_text
 from .dsl import (PlanError, PlannerOutput, PlannerProgram, evaluate_policy,
                   parse_program)
 from .executor import (ExecutorError, ground_targets, execute_chunk,
-                       parse_subtask, _node_source_id)
+                       parse_subtask)
 from .graph import SemanticGraph, init_graph, update_graph
 from .perception import make_task_spec
 from .prompting import clutter_free_obs, raw_obs_passthrough
@@ -177,7 +177,7 @@ def rgb_choose(task: str, variant: str, g: SemanticGraph,
             guess = cups[rng.randrange(2)]
             other = next(c for c in cups if c.node_id != guess.node_id)
             return (_say(f"pick up the {_display(other)}", (other.node_id,)),
-                    _node_source_id(guess))
+                    guess.source_id)
         return _done_output(), None
 
     if task == "swap_cups":
@@ -231,7 +231,7 @@ def _intended_stack_target(task: str, out: PlannerOutput,
     node_id = graph.resolve(names["dest"])
     if node_id is None:
         return None
-    return _node_source_id(graph.nodes[node_id])
+    return graph.nodes[node_id].source_id
 
 
 def _primitive_dict(prim) -> dict:
@@ -532,20 +532,20 @@ def _stable(record: dict) -> dict:
 
 
 def load_log(path) -> list:
-    """The log's records; ConfigError when a line is not a JSON object."""
+    """The log's records; ConfigError when the file is not UTF-8 or a line
+    is not a JSON object."""
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(
-                    f"{path}:{lineno}: not valid JSON: {exc.msg}") from None
-            if not isinstance(record, dict):
-                raise ConfigError(f"{path}:{lineno}: not a JSON object")
-            records.append(record)
+    for lineno, line in enumerate(read_text(path).split("\n"), 1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(
+                f"{path}:{lineno}: not valid JSON: {exc.msg}") from None
+        if not isinstance(record, dict):
+            raise ConfigError(f"{path}:{lineno}: not a JSON object")
+        records.append(record)
     return records
 
 

@@ -1,4 +1,5 @@
-"""Seeded random rendered scenes for the box-local equivalence tests.
+"""Seeded random rendered scenes for the box-local equivalence tests, and
+the scene configs of the benchmark's workloads.
 
 Initial layouts keep every object fully inside both frames, so these scenes
 move about half the objects to random poses that reach past the table edge
@@ -9,10 +10,12 @@ over or under their neighbours).  Objects inside an opaque cup stay hidden.
 from __future__ import annotations
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
-from tableplan.config import NoiseConfig, SceneConfig
+from tableplan.config import (NoiseConfig, SceneConfig, default_noise_config,
+                              perfect_config)
 from tableplan.graph import init_graph
 from tableplan.perception import make_task_spec, track
 from tableplan.render import Renderer
@@ -20,6 +23,16 @@ from tableplan.rng import Rng
 from tableplan.world import LayoutInfeasible, init_world
 
 TASKS = ("pnp_twice", "place_and_stack", "swap_cups")
+CONFIGS = Path(__file__).parents[1] / "configs"
+
+
+def workload_configs() -> list:
+    """The scene configs the benchmark's four workloads cycle through."""
+    return ([perfect_config(t) for t in TASKS]
+            + [SceneConfig.load(CONFIGS / "swap_noisy.json"),
+               perfect_config("swap_cups", distractors=8, vision="raw")]
+            + [default_noise_config("place_and_stack", planner=p)
+               for p in ("code", "mock_vlm_graph", "mock_vlm_rgb")])
 
 
 def scattered_world(rng: np.random.Generator):

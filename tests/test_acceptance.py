@@ -23,7 +23,7 @@ from tableplan.dsl import evaluate_policy, parse_program
 from tableplan.graph import distance_signature, init_graph
 from tableplan.harness import load_task_program, replay_log, run_episode
 from tableplan.perception import make_task_spec
-from tableplan.prompting import BACKGROUND, clutter_free_obs
+from tableplan.prompting import clutter_free_obs, retention_mask
 from tableplan.render import render_views
 from tableplan.rng import Rng
 from tableplan.serialize import canonical_json, graph_from_snapshot
@@ -292,8 +292,8 @@ def test_10_masking_soundness():
             obs = clutter_free_obs(raw, g, subset, "cue")
             allowed = set().union(*(source_of[i] for i in subset)) \
                 if subset else set()
-            for view_id in obs.views:
-                assert set(obs.visible_source_ids(view_id)) <= allowed
+            for visible in obs.visible.values():
+                assert set(visible) <= allowed
             pairs += 1
 
         # growing the relevant set only ever reveals more
@@ -304,12 +304,12 @@ def test_10_masking_soundness():
         prev = clutter_free_obs(raw, g, [], "cue")
         for k in range(len(order)):
             cur = clutter_free_obs(raw, g, order[:k + 1], "cue")
-            for view_id in cur.views:
-                lab_p, m_p = prev.views[view_id]
-                lab_c, m_c = cur.views[view_id]
+            for view_id, view in raw.views.items():
+                shape = view.label_map.shape
+                m_p = retention_mask(g, order[:k], view_id, shape)
+                m_c = retention_mask(g, order[:k + 1], view_id, shape)
                 assert np.all(m_p <= m_c)
-                kept = lab_p != BACKGROUND
-                assert np.array_equal(lab_c[kept], lab_p[kept])
+                assert set(prev.visible[view_id]) <= set(cur.visible[view_id])
             prev = cur
             chain_links += 1
     assert pairs == 10_000

@@ -164,6 +164,75 @@ def test_replay_malformed_log(good_log_lines, tmp_path, capsys, edit, message):
     assert err.startswith("error:") and message in err
 
 
+def _camera(**change):
+    cam = {"view_id": "top", "image_size": [128, 128], "px_per_m": 100}
+    cam.update(change)
+    return {"cameras": [cam]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"perception_noise": {"feature_sigma": "abc"}},
+     "perception_noise.feature_sigma must be a number"),
+    ({"executor_error": {"base_p": True}},
+     "executor_error.base_p must be a number"),
+    ({"geometry": {"lift_m": "x"}}, "geometry.lift_m must be a number"),
+    ({"geometry": {"arm_size": 0.1}}, "geometry.arm_size must be a list"),
+    ({"geometry": [1]}, "geometry must be an object"),
+    (_camera(image_size=["x", 1]), "image_size must be an integer"),
+    (_camera(image_size=[128.5, 128]), "image_size must be an integer"),
+    (_camera(look_at=[0.5]), "look_at must be a list of 2 numbers"),
+    (_camera(view_id=["top"]), "view_id must be a string"),
+    ({"cameras": 3}, "cameras must be a list"),
+    ({"distractors": "4"}, "distractors must be an integer"),
+    ({"chunk_horizon": 2.5}, "chunk_horizon must be an integer"),
+    ({"step_budget": True}, "step_budget must be an integer"),
+    ({"near_threshold_m": None}, "near_threshold_m must be a number"),
+    ({"table_bounds": [1]}, "table_bounds must be a list of 2 numbers"),
+    ({"table_bounds": 1}, "table_bounds must be a list of 2 numbers"),
+    ({"task": "custom", "custom_objects": [{"class": "unicorn"}]},
+     "custom object class must be one of"),
+    ({"task": "custom", "custom_objects": ["cube"]},
+     "custom_objects entries must be objects"),
+    ({"task": "custom", "custom_objects": [
+        {"class": "cube", "position": ["x", 0.3]}]},
+     "position must be a number"),
+], ids=["noise_string", "error_bool", "geometry_string", "geometry_shape",
+        "geometry_not_object", "image_size_string", "image_size_float",
+        "look_at_short", "view_id_list", "cameras_not_list",
+        "distractors_string", "chunk_horizon_float", "step_budget_bool",
+        "float_null", "table_bounds_short", "table_bounds_scalar",
+        "custom_unknown_class", "custom_not_object",
+        "custom_position_string"])
+def test_run_rejects_wrongly_typed_config(tmp_path, capsys, doc, message):
+    cfg_path = tmp_path / "scene.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and message in captured.err
+
+
+def _not_utf8(path, text: str):
+    path.write_bytes(text.encode("utf-8").replace(b"@", b"\xff"))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    lambda tmp: ["run", "--config",
+                 _not_utf8(tmp / "scene.json", '{"task": "@"}')],
+    lambda tmp: ["run", "--task", "pnp_twice", "--plan",
+                 _not_utf8(tmp / "p.plan", "(policy @)")],
+    lambda tmp: ["validate-plan", _not_utf8(tmp / "p.plan", "(policy @)")],
+    lambda tmp: ["replay", _not_utf8(tmp / "ep.jsonl", '{"kind": "@"}\n')],
+], ids=["run_config", "run_plan", "validate_plan", "replay"])
+def test_non_utf8_input_is_a_config_error(tmp_path, capsys, argv):
+    args = argv(tmp_path)
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {args[-1]}: not UTF-8 text")
+
+
 def test_suite_table_and_report(tmp_path, capsys):
     out_dir = tmp_path / "report"
     code = main(["suite", "--task", "pnp_twice", "--seeds", "2",

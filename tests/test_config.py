@@ -5,12 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from tableplan.config import (DEFAULT_CAMERAS, DEFAULT_EXECUTOR_ERROR,
+from tableplan.config import (CUSTOM_CLASSES, DEFAULT_CAMERAS,
+                              DEFAULT_EXECUTOR_ERROR, DEFAULT_GEOMETRY,
                               DEFAULT_NOISE, TASKS, AssocThresholds,
                               CameraConfig, ConfigError, GroundingErrorModel,
                               NoiseConfig, SceneConfig, default_noise_config,
                               perfect_config)
 from tableplan.serialize import canonical_json, config_hash
+from tableplan.world import DISTRACTOR_CLASSES, _footprint_for, circumradius
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -42,6 +44,10 @@ def test_near_rule_matches_overhead_camera():
     ("table_bounds", (0.0, 1.0)),
     ("near_threshold_m", 0.0),
     ("cameras", ()),
+    ("distractors", "4"),
+    ("chunk_horizon", 2.5),
+    ("step_budget", True),
+    ("table_bounds", (1.0,)),
 ])
 def test_validate_rejects(field, value):
     cfg = SceneConfig(**{field: value})
@@ -108,6 +114,15 @@ def test_custom_task_needs_objects():
     cfg = SceneConfig(task="custom",
                       custom_objects=({"class": "cube", "color": "red"},))
     cfg.validate()
+
+
+def test_custom_classes_have_footprints():
+    for cls in CUSTOM_CLASSES:
+        assert circumradius(_footprint_for(cls, DEFAULT_GEOMETRY)) > 0
+    assert set(DISTRACTOR_CLASSES) <= set(CUSTOM_CLASSES)
+    with pytest.raises(ConfigError, match="unicorn"):
+        SceneConfig(task="custom",
+                    custom_objects=({"class": "unicorn"},)).validate()
 
 
 def test_dict_roundtrip():

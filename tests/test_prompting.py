@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tableplan import harness
 from tableplan.config import SceneConfig
 from tableplan.graph import init_graph
 from tableplan.perception import make_task_spec
@@ -10,7 +11,13 @@ from tableplan.render import render_views
 from tableplan.rng import Rng
 from tableplan.world import DISTRACTOR_CLASSES, init_world
 
-from scenes import full_mask, graph_and_drifted_tracks, scattered_scenes
+from scenes import (full_mask, graph_and_drifted_tracks, scattered_scenes,
+                    workload_configs)
+
+
+def ids_under(label, mask) -> tuple:
+    """Whole-frame reference: the source ids of the masked label map."""
+    return tuple(sorted(set(np.unique(label[mask]).tolist()) - {BACKGROUND}))
 
 
 def scene(task="swap_cups", seed=0, **kw):
@@ -50,11 +57,10 @@ def test_clutter_free_survivors():
     masked = clutter_free_obs(raw, g, keep, "cue")
     keep_sources = {gr.source_id
                     for nid in keep for gr in g.nodes[nid].groundings.values()}
-    for view_id, (labels, mask) in masked.views.items():
+    assert sorted(masked.visible) == sorted(raw.views)
+    for view_id in masked.visible:
         raw_labels = raw.views[view_id].label_map
-        assert np.array_equal(labels != BACKGROUND,
-                              mask & (raw_labels != BACKGROUND))
-        survivors = set(masked.visible_source_ids(view_id))
+        survivors = set(masked.visible[view_id])
         assert survivors <= keep_sources
         # distractor pixels never survive
         assert all(s in keep_sources for s in survivors)
@@ -69,23 +75,24 @@ def test_masking_monotone_in_relevant_set():
     big = small + [g.resolve("blue_cup"), g.resolve("plate_2")]
     obs_small = clutter_free_obs(raw, g, small, "cue")
     obs_big = clutter_free_obs(raw, g, big, "cue")
-    for view_id in obs_small.views:
-        lab_s, m_s = obs_small.views[view_id]
-        lab_b, m_b = obs_big.views[view_id]
+    for view_id, view in raw.views.items():
+        shape = view.label_map.shape
+        m_s = retention_mask(g, small, view_id, shape)
+        m_b = retention_mask(g, big, view_id, shape)
         assert np.all(m_s <= m_b)
-        surviving_s = lab_s != BACKGROUND
-        assert np.array_equal(lab_b[surviving_s], lab_s[surviving_s])
+        assert set(obs_small.visible[view_id]) <= set(obs_big.visible[view_id])
 
 
 def test_raw_passthrough_keeps_everything():
     cfg, world, raw, g = scene(distractors=5)
     obs = raw_obs_passthrough(raw, [g.resolve("black_cup")], "cue")
-    for view_id, (labels, mask) in obs.views.items():
-        assert np.array_equal(labels, raw.views[view_id].label_map)
-        assert mask.all()
+    assert sorted(obs.visible) == sorted(raw.views)
+    for view_id, view in raw.views.items():
+        full = np.ones(view.label_map.shape, dtype=bool)
+        assert obs.visible[view_id] == ids_under(view.label_map, full)
     assert obs.relevant_ids == frozenset({g.resolve("black_cup")})
     # distractors are visible through the passthrough
-    overhead = set(obs.visible_source_ids("overhead"))
+    overhead = set(obs.visible["overhead"])
     clutter = {o.id for o in world.objects
                if o.class_name in DISTRACTOR_CLASSES}
     assert overhead & clutter  # at least one distractor survived
@@ -98,7 +105,7 @@ def test_masked_observation_fields():
     assert obs.subtask_cue == "grab the blue cup"
     assert obs.relevant_ids == frozenset(keep)
     src = next(iter(g.nodes[keep[0]].groundings.values())).source_id
-    assert obs.visible_source_ids("overhead") == [src]
+    assert obs.visible["overhead"] == (src,)
 
 
 def test_random_retention_subsets_stay_sound():
@@ -111,13 +118,13 @@ def test_random_retention_subsets_stay_sound():
         allowed = {gr.source_id
                    for nid in subset
                    for gr in g.nodes[nid].groundings.values()}
-        for view_id in obs.views:
-            assert set(obs.visible_source_ids(view_id)) <= allowed
+        for visible in obs.visible.values():
+            assert set(visible) <= allowed
 
 
 def test_box_local_masking_matches_full_frame():
-    # retention, masked maps and visible_source_ids against whole-frame
-    # references; some groundings are tracker masks drifted off the frame
+    # retention masks and visible ids against whole-frame references; some
+    # groundings are tracker masks drifted off the frame
     rng = np.random.default_rng(4242)
     for k, (cfg, world, raw) in enumerate(scattered_scenes(200, seed=31)):
         g, tracked = graph_and_drifted_tracks(cfg, raw, k)
@@ -134,10 +141,42 @@ def test_box_local_masking_matches_full_frame():
             for i in keep:
                 if view_id in g.nodes[i].groundings:
                     retained |= full_mask(g.nodes[i].groundings[view_id].region)
-            labels, mask = masked.views[view_id]
+            mask = retention_mask(g, keep, view_id, label.shape)
             assert np.array_equal(mask, retained)
-            assert np.array_equal(labels, np.where(retained, label, BACKGROUND))
             want = sorted(set(np.unique(label[retained]).tolist()) - {0})
-            assert masked.visible_source_ids(view_id) == want
-            assert passthrough.visible_source_ids(view_id) == \
+            assert list(masked.visible[view_id]) == want
+            assert list(passthrough.visible[view_id]) == \
                 sorted(set(np.unique(label).tolist()) - {0})
+
+
+def test_visible_ids_match_masked_map_every_round(monkeypatch):
+    # at every round of two seeded episodes of each benchmark config, the
+    # ids read from the crops are those of the whole-frame masked map
+    rounds = {"masked": 0, "raw": 0}
+
+    def checked_clutter_free_obs(raw, graph, relevant, cue):
+        obs = clutter_free_obs(raw, graph, relevant, cue)
+        assert sorted(obs.visible) == sorted(raw.views)
+        for view_id, view in raw.views.items():
+            label = view.label_map
+            mask = retention_mask(graph, relevant, view_id, label.shape)
+            assert obs.visible[view_id] == ids_under(label, mask)
+        rounds["masked"] += 1
+        return obs
+
+    def checked_raw_obs_passthrough(raw, relevant, cue):
+        obs = raw_obs_passthrough(raw, relevant, cue)
+        assert sorted(obs.visible) == sorted(raw.views)
+        for view_id, view in raw.views.items():
+            full = np.ones(view.label_map.shape, dtype=bool)
+            assert obs.visible[view_id] == ids_under(view.label_map, full)
+        rounds["raw"] += 1
+        return obs
+
+    monkeypatch.setattr(harness, "clutter_free_obs", checked_clutter_free_obs)
+    monkeypatch.setattr(harness, "raw_obs_passthrough",
+                        checked_raw_obs_passthrough)
+    for cfg in workload_configs():
+        for seed in (0, 1):
+            harness.run_episode(cfg, seed)
+    assert rounds["masked"] > 20 and rounds["raw"] > 2

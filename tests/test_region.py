@@ -8,10 +8,9 @@ import pytest
 from scipy import ndimage
 
 from scenes import (full_frame_box, full_mask, graph_and_drifted_tracks,
-                    scattered_scenes)
+                    scattered_scenes, workload_configs)
 from tableplan import region as region_mod
-from tableplan.config import (NoiseConfig, SceneConfig, default_noise_config,
-                              perfect_config)
+from tableplan.config import NoiseConfig
 from tableplan.harness import run_episode
 from tableplan.perception import make_task_spec, segment
 from tableplan.region import CONTAIN_DILATE_PX, HULL_PAD, Region
@@ -177,9 +176,6 @@ def test_shared_crop_is_read_only():
 
 # -- containment hull -----------------------------------------------------------
 
-CONFIGS = Path(__file__).parents[1] / "configs"
-
-
 def assert_hull_matches_ndimage(crop: np.ndarray):
     """The hull, and the hole filling before its dilation, against
     scipy.ndimage: the reference.  Filling is checked on its own because
@@ -189,16 +185,6 @@ def assert_hull_matches_ndimage(crop: np.ndarray):
     assert np.array_equal(region_mod._fill_holes(crop),
                           filled[HULL_PAD:-HULL_PAD, HULL_PAD:-HULL_PAD])
     assert np.array_equal(region_mod.containment_hull(crop), want)
-
-
-def workload_configs() -> list:
-    """The scene configs the benchmark's four workloads cycle through."""
-    return ([perfect_config(t) for t in
-             ("pnp_twice", "place_and_stack", "swap_cups")]
-            + [SceneConfig.load(CONFIGS / "swap_noisy.json"),
-               perfect_config("swap_cups", distractors=8, vision="raw")]
-            + [default_noise_config("place_and_stack", planner=p)
-               for p in ("code", "mock_vlm_graph", "mock_vlm_rgb")])
 
 
 def episode_crops(monkeypatch) -> dict:

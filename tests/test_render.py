@@ -494,7 +494,7 @@ def test_incremental_render_matches_fresh_render():
             for view_id, view in raw.views.items():
                 want = fresh.views[view_id]
                 assert np.array_equal(view.label_map, want.label_map)
-                assert passthrough.visible_source_ids(view_id) == \
+                assert list(passthrough.visible[view_id]) == \
                     sorted(set(np.unique(view.label_map).tolist()) - {0})
                 assert list(view.records) == list(want.records)
                 for oid, rec in view.records.items():
