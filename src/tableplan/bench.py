@@ -33,9 +33,7 @@ def random_scene_config(seed: int, max_objects: int = 8) -> SceneConfig:
             if plates > 2:
                 cls = "cube"
         objs.append({"class": cls, "color": _COLORS[rng.randrange(len(_COLORS))]})
-    cfg = SceneConfig(task="custom", custom_objects=tuple(objs))
-    cfg.validate()
-    return cfg
+    return SceneConfig(task="custom", custom_objects=tuple(objs))
 
 
 def association_trial(seed: int, sigma: float = 0.0,

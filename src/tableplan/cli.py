@@ -9,6 +9,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -26,7 +27,16 @@ EXIT_CONFIG = 2
 EXIT_DIVERGENCE = 3
 
 
-def _base_config(args) -> SceneConfig:
+NOISE_PROFILES = {
+    "none": {"perception_noise": NoiseConfig(),
+             "executor_error": GroundingErrorModel()},
+    "default": {"perception_noise": DEFAULT_NOISE,
+                "executor_error": DEFAULT_EXECUTOR_ERROR},
+}
+
+
+def _base_config(args, **overrides) -> SceneConfig:
+    """The --config file or --task default, with the flags' overrides."""
     if args.config:
         cfg = SceneConfig.load(args.config)
     elif args.task:
@@ -34,26 +44,16 @@ def _base_config(args) -> SceneConfig:
     else:
         raise ConfigError("need --config FILE or --task NAME")
     if args.variant:
-        cfg.variant = args.variant
-    if args.noise == "default":
-        cfg.perception_noise = DEFAULT_NOISE
-        cfg.executor_error = DEFAULT_EXECUTOR_ERROR
-    elif args.noise == "none":
-        cfg.perception_noise = NoiseConfig()
-        cfg.executor_error = GroundingErrorModel()
-    cfg.validate()
-    return cfg
+        overrides["variant"] = args.variant
+    if args.noise:
+        overrides.update(NOISE_PROFILES[args.noise])
+    return replace(cfg, **overrides)
 
 
 def _cmd_run(args) -> int:
-    cfg = _base_config(args)
-    if args.planner:
-        cfg.planner = args.planner
-    if args.vision:
-        cfg.vision = args.vision
-    if args.distractors is not None:
-        cfg.distractors = args.distractors
-    cfg.validate()
+    flags = {"planner": args.planner, "vision": args.vision,
+             "distractors": args.distractors}
+    cfg = _base_config(args, **{k: v for k, v in flags.items() if v is not None})
     program = load_program(args.plan) if args.plan else None
     result = run_episode(cfg, args.seed, log_path=args.log, program=program)
     f = result.footer
@@ -96,12 +96,6 @@ def _cmd_suite(args) -> int:
                          ("--distractors", distractors)):
         if not values:
             raise ConfigError(f"{flag} must list at least one value")
-    for p in planners:
-        if p not in PLANNER_MODES:
-            raise ConfigError(f"unknown planner mode {p!r}")
-    for v in visions:
-        if v not in VISION_MODES:
-            raise ConfigError(f"unknown vision mode {v!r}")
 
     def progress(cell):
         print(f"  done: planner={cell['planner']} vision={cell['vision']} "

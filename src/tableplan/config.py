@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, asdict
 from typing import Any
 
@@ -24,6 +25,59 @@ class ConfigError(Exception):
     """Malformed or inconsistent scene configuration."""
 
 
+# Value checks, run as each config object is built; each returns its value.
+# A float field takes a finite real number (a bool or a string is none); an
+# int field an int.  from_dict reads numbers with _number instead, since log
+# headers carry floats as '%.9g' strings.
+
+def _real(value, key: str):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return value
+
+
+def _finite(value, key: str):
+    if not math.isfinite(_real(value, key)):
+        raise ConfigError(f"{key} must be finite, got {value}")
+    return value
+
+
+def _number(value, key: str) -> float:
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{key} must be a number, got {value!r}")
+
+
+def _integer(value, key: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _numbers(value, key: str, count: int, item=_number) -> tuple:
+    if not isinstance(value, (list, tuple)) or len(value) != count:
+        raise ConfigError(f"{key} must be a list of {count} numbers, "
+                          f"got {value!r}")
+    return tuple(item(v, key) for v in value)
+
+
+def _probabilities(obj, *names) -> None:
+    for name in names:
+        v = _real(getattr(obj, name), name)
+        if not 0.0 <= v <= 1.0:
+            raise ConfigError(f"{name} must be in [0, 1], got {v}")
+
+
+def _magnitudes(obj, *names) -> None:
+    for name in names:
+        v = _real(getattr(obj, name), name)
+        if not (math.isfinite(v) and v >= 0):
+            raise ConfigError(f"{name} must be finite and >= 0, got {v}")
+
+
 @dataclass(frozen=True)
 class NoiseConfig:
     """Perception degradations; all default to the noise-free setting."""
@@ -34,15 +88,10 @@ class NoiseConfig:
     tracker_drift_px_per_step: float = 0.0
     tracker_loss_p: float = 0.0
 
-    def validate(self) -> None:
-        for name in ("mask_dropout_occlusion", "class_confusion_p", "tracker_loss_p"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {v}")
-        for name in ("feature_sigma", "tracker_drift_px_per_step"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0):
-                raise ConfigError(f"{name} must be finite and >= 0, got {v}")
+    def __post_init__(self) -> None:
+        _probabilities(self, "mask_dropout_occlusion", "class_confusion_p",
+                       "tracker_loss_p")
+        _magnitudes(self, "feature_sigma", "tracker_drift_px_per_step")
 
 
 @dataclass(frozen=True)
@@ -53,12 +102,11 @@ class GroundingErrorModel:
     per_distractor_p: float = 0.0
     p_max: float = 0.9
 
-    def validate(self) -> None:
-        if not 0.0 <= self.base_p <= 1.0 or not 0.0 <= self.p_max <= 1.0:
+    def __post_init__(self) -> None:
+        if not (0.0 <= _real(self.base_p, "base_p") <= 1.0
+                and 0.0 <= _real(self.p_max, "p_max") <= 1.0):
             raise ConfigError("base_p and p_max must be in [0, 1]")
-        if not (math.isfinite(self.per_distractor_p) and self.per_distractor_p >= 0):
-            raise ConfigError(f"per_distractor_p must be finite and >= 0, "
-                              f"got {self.per_distractor_p}")
+        _magnitudes(self, "per_distractor_p")
 
     def probability(self, n_clutter: int) -> float:
         return min(self.p_max, self.base_p + self.per_distractor_p * n_clutter)
@@ -69,6 +117,9 @@ class AssocThresholds:
     tau_vis: float = 0.15
     tau_geo: float = 0.10
     margin_geo: float = 0.05
+
+    def __post_init__(self) -> None:
+        _magnitudes(self, "tau_vis", "tau_geo", "margin_geo")
 
 
 @dataclass(frozen=True)
@@ -90,12 +141,19 @@ class CameraConfig:
         return (self.px_per_m * (c * dx - s * dy) + self.center_px[0],
                 self.px_per_m * (s * dx + c * dy) + self.center_px[1])
 
-    def validate(self) -> None:
-        w, h = self.image_size
+    def __post_init__(self) -> None:
+        if not isinstance(self.view_id, str):
+            raise ConfigError(f"camera view_id must be a string, "
+                              f"got {self.view_id!r}")
+        w, h = _numbers(self.image_size, "image_size", 2, _integer)
         if w < 64 or h < 64:
             raise ConfigError(f"camera {self.view_id}: image_size must be >= 64x64")
-        if self.px_per_m <= 0:
+        if _real(self.px_per_m, "px_per_m") <= 0:
             raise ConfigError(f"camera {self.view_id}: px_per_m must be > 0")
+        _finite(self.px_per_m, "px_per_m")
+        _finite(self.rotation_deg, "rotation_deg")
+        _numbers(self.center_px, "center_px", 2, _finite)
+        _numbers(self.look_at, "look_at", 2, _finite)
 
 
 # Overhead covers the whole table; its diagonal (200 px at 160 px/m = 1.25 m)
@@ -129,8 +187,10 @@ DEFAULT_NOISE = NoiseConfig(
 DEFAULT_EXECUTOR_ERROR = GroundingErrorModel(base_p=0.02, per_distractor_p=0.05, p_max=0.9)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SceneConfig:
+    """One run's scene, checked when built (and by dataclasses.replace)."""
+
     task: str = "swap_cups"
     variant: str = "black"  # swap_cups: which cup must move first
     distractors: int = 0
@@ -150,7 +210,7 @@ class SceneConfig:
     mock_flake_p: float = 0.08
     custom_objects: tuple = ()  # task == "custom": ({class,color,position}, ...)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.task not in TASKS:
             raise ConfigError(f"unknown task {self.task!r}")
         if self.task == "swap_cups" and self.variant not in ("black", "blue"):
@@ -167,27 +227,27 @@ class SceneConfig:
             raise ConfigError("chunk_horizon must be >= 2")
         if self.step_budget < 1:
             raise ConfigError("step_budget must be >= 1")
-        w, h = _numbers(self.table_bounds, "table_bounds", 2)
+        w, h = _numbers(self.table_bounds, "table_bounds", 2, _real)
         if w <= 0 or h <= 0:
             raise ConfigError("table_bounds must be positive")
-        if self.near_threshold_m <= 0:
+        if _real(self.near_threshold_m, "near_threshold_m") <= 0:
             raise ConfigError("near_threshold_m must be > 0")
         if not self.cameras:
             raise ConfigError("at least one camera required")
         ids = [c.view_id for c in self.cameras]
         if len(set(ids)) != len(ids):
             raise ConfigError("camera view_ids must be unique")
-        for cam in self.cameras:
-            cam.validate()
-        self.perception_noise.validate()
-        self.executor_error.validate()
         if self.task == "custom" and not self.custom_objects:
             raise ConfigError("custom task needs custom_objects")
         for spec in self.custom_objects:
-            if spec.get("class") not in CUSTOM_CLASSES:
-                raise ConfigError(f"custom object class must be one of "
-                                  f"{', '.join(CUSTOM_CLASSES)}, got "
-                                  f"{spec.get('class')!r}")
+            _check_custom_object(spec)
+        _numbers(self.table_bounds, "table_bounds", 2, _finite)
+        _finite(self.near_threshold_m, "near_threshold_m")
+        _finite(self.overlap_tolerance, "overlap_tolerance")
+        _magnitudes(self, "mock_latency_s")
+        _probabilities(self, "mock_flake_p")
+        # stored merged with the defaults, as from_dict reads it
+        object.__setattr__(self, "geometry", _geometry(self.geometry, _finite))
 
     # -- serialization ----------------------------------------------------
 
@@ -225,9 +285,7 @@ class SceneConfig:
                 kw[key] = tuple(_custom_object(v) for v in _list(value, key))
             else:
                 kw[key] = value
-        cfg = cls(**kw)
-        cfg.validate()
-        return cfg
+        return cls(**kw)
 
     @classmethod
     def from_json(cls, text: str) -> "SceneConfig":
@@ -253,23 +311,8 @@ def read_text(path) -> str:
                               f"byte {exc.start})") from None
 
 
-# Value checks for from_dict.  Log headers carry floats as '%.9g' strings,
-# so a number may also come as a string float() reads; a bool is no number.
-
-def _number(value, key: str) -> float:
-    if not isinstance(value, bool):
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            pass
-    raise ConfigError(f"{key} must be a number, got {value!r}")
-
-
-def _integer(value, key: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
-
+# Parsing for from_dict: each builds the value its config field takes from
+# the JSON one; the config object itself checks it.
 
 def _list(value, key: str):
     if not isinstance(value, (list, tuple)):
@@ -277,54 +320,59 @@ def _list(value, key: str):
     return value
 
 
-def _numbers(value, key: str, count: int, item=_number) -> tuple:
-    if not isinstance(value, (list, tuple)) or len(value) != count:
-        raise ConfigError(f"{key} must be a list of {count} numbers, "
-                          f"got {value!r}")
-    return tuple(item(v, key) for v in value)
+def _known_keys(value: dict, known, where: str) -> None:
+    unknown = set(value) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
 def _sub(cls, value, key):
     if not isinstance(value, dict):
         raise ConfigError(f"{key} must be an object")
-    known = set(cls.__dataclass_fields__)
-    unknown = set(value) - known
-    if unknown:
-        raise ConfigError(f"unknown keys in {key}: {sorted(unknown)}")
+    _known_keys(value, cls.__dataclass_fields__, key)
     return cls(**{k: _number(v, f"{key}.{k}") for k, v in value.items()})
 
 
-def _geometry(value) -> dict:
+def _geometry(value, item=_number) -> dict:
     """The defaults updated by `value`; a key keeps its default's shape."""
     if not isinstance(value, dict):
         raise ConfigError("geometry must be an object")
-    merged = dict(DEFAULT_GEOMETRY)
-    merged.update(value)
+    _known_keys(value, DEFAULT_GEOMETRY, "geometry")
     out = {}
-    for k, v in merged.items():
-        like = DEFAULT_GEOMETRY.get(k, v)
-        if isinstance(like, (list, tuple)):
-            out[k] = _numbers(v, f"geometry.{k}", len(like))
+    for k, like in DEFAULT_GEOMETRY.items():
+        v = value.get(k, like)
+        if isinstance(like, tuple):
+            out[k] = _numbers(v, f"geometry.{k}", len(like), item)
         else:
-            out[k] = _number(v, f"geometry.{k}")
+            out[k] = item(v, f"geometry.{k}")
     return out
 
 
-def _custom_object(value) -> dict:
-    if not isinstance(value, dict):
+def _custom_object(value):
+    if isinstance(value, dict) and "position" in value:
+        return {**value, "position": _numbers(value["position"], "position", 2)}
+    return value
+
+
+def _check_custom_object(spec) -> None:
+    if not isinstance(spec, dict):
         raise ConfigError("custom_objects entries must be objects")
-    spec = dict(value)
+    if spec.get("class") not in CUSTOM_CLASSES:
+        raise ConfigError(f"custom object class must be one of "
+                          f"{', '.join(CUSTOM_CLASSES)}, got "
+                          f"{spec.get('class')!r}")
+    _known_keys(spec, ("class", "color", "position"), "custom object")
+    if not isinstance(spec.get("color", ""), str):
+        raise ConfigError(f"custom object color must be a string, "
+                          f"got {spec['color']!r}")
     if "position" in spec:
-        spec["position"] = _numbers(spec["position"], "position", 2)
-    return spec
+        _numbers(spec["position"], "position", 2, _finite)
 
 
 def _camera_from(value) -> CameraConfig:
     if not isinstance(value, dict):
         raise ConfigError("camera entries must be objects")
-    if not isinstance(value.get("view_id", ""), str):
-        raise ConfigError(f"camera view_id must be a string, "
-                          f"got {value['view_id']!r}")
+    _known_keys(value, CameraConfig.__dataclass_fields__, "camera")
     try:
         size = _numbers(value["image_size"], "image_size", 2, _integer)
         return CameraConfig(
@@ -344,9 +392,7 @@ def _camera_from(value) -> CameraConfig:
 
 def perfect_config(task: str, **overrides) -> SceneConfig:
     """Zero-noise, zero-error config for a task."""
-    cfg = SceneConfig(task=task, **overrides)
-    cfg.validate()
-    return cfg
+    return SceneConfig(task=task, **overrides)
 
 
 def default_noise_config(task: str, **overrides) -> SceneConfig:
@@ -356,6 +402,4 @@ def default_noise_config(task: str, **overrides) -> SceneConfig:
         "executor_error": DEFAULT_EXECUTOR_ERROR,
     }
     kw.update(overrides)
-    cfg = SceneConfig(task=task, **kw)
-    cfg.validate()
-    return cfg
+    return SceneConfig(task=task, **kw)

@@ -247,7 +247,6 @@ def run_episode(cfg: SceneConfig, seed: int, log_path=None,
     Planner and executor errors never raise out of the loop: they close the
     episode as a recorded failure so suites over noisy cells stay total.
     """
-    cfg.validate()
     world0 = init_world(cfg, seed)
     tracker = MilestoneTracker(world0, cfg.task, cfg.variant)
     renderer = Renderer(cfg.cameras, cfg.geometry["lift_m"])
@@ -469,23 +468,22 @@ def summarize_cell(results: list) -> dict:
 def run_suite(base: SceneConfig, seeds: int, planners, visions,
               distractor_counts, seed0: int = 0,
               progress: Optional[Callable] = None) -> dict:
-    """Sweep planner x vision x distractor cells over a common seed list."""
+    """Sweep planner x vision x distractor cells over a common seed list.
+
+    Every cell's config is built, and so checked, before any episode runs.
+    """
+    configs = [replace(base, planner=planner, vision=vision, distractors=d)
+               for planner in planners for vision in visions
+               for d in distractor_counts]
     cells = []
-    for planner in planners:
-        for vision in visions:
-            for d in distractor_counts:
-                cfg = replace(base, planner=planner, vision=vision,
-                              distractors=d)
-                cfg.validate()
-                results = []
-                for i in range(seeds):
-                    results.append(run_episode(cfg, seed0 + i))
-                cell = {"planner": planner, "vision": vision,
-                        "distractors": d}
-                cell.update(summarize_cell(results))
-                cells.append(cell)
-                if progress is not None:
-                    progress(cell)
+    for cfg in configs:
+        results = [run_episode(cfg, seed0 + i) for i in range(seeds)]
+        cell = {"planner": cfg.planner, "vision": cfg.vision,
+                "distractors": cfg.distractors}
+        cell.update(summarize_cell(results))
+        cells.append(cell)
+        if progress is not None:
+            progress(cell)
     return {
         "task": base.task,
         "variant": base.variant,

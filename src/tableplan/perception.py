@@ -60,7 +60,6 @@ class Detection:
 
 @dataclass(frozen=True)
 class TaskSpec:
-    task_id: str
     instruction: str
     relevant_classes: frozenset
 
@@ -71,18 +70,18 @@ class TaskSpec:
 def make_task_spec(task: str, variant: str = "black",
                    custom_classes: tuple = ()) -> TaskSpec:
     if task == "pnp_twice":
-        return TaskSpec(task, "move the cube to the other plate, then bring it back",
+        return TaskSpec("move the cube to the other plate, then bring it back",
                         frozenset({"cube", "plate"}))
     if task == "place_and_stack":
-        return TaskSpec(task, "drop the cube into the nearest cup, then stack the "
-                              "other cup on top",
+        return TaskSpec("drop the cube into the nearest cup, then stack the "
+                        "other cup on top",
                         frozenset({"cube", "cup"}))
     if task == "swap_cups":
-        return TaskSpec(task, f"swap the two cups using the free plate, moving the "
-                              f"{variant} cup first",
+        return TaskSpec(f"swap the two cups using the free plate, moving the "
+                        f"{variant} cup first",
                         frozenset({"cup", "plate"}))
     if task == "custom":
-        return TaskSpec(task, "custom layout", frozenset(custom_classes))
+        return TaskSpec("custom layout", frozenset(custom_classes))
     raise ValueError(task)
 
 

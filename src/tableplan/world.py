@@ -107,7 +107,6 @@ class WorldState:
     gripper: GripperState
     table_bounds: tuple
     step_count: int
-    rng_state: int
 
     def get(self, object_id: int) -> SimObject:
         for obj in self.objects:
@@ -410,9 +409,7 @@ class _Builder:
     def world(self) -> WorldState:
         return WorldState(
             objects=tuple(self.objects), gripper=GripperState(),
-            table_bounds=self.cfg.table_bounds, step_count=0,
-            rng_state=self.rng.getstate(),
-        )
+            table_bounds=self.cfg.table_bounds, step_count=0)
 
 
 def init_world(cfg: SceneConfig, seed: int) -> WorldState:

@@ -5,7 +5,9 @@ from pathlib import Path
 import pytest
 
 import tableplan
+from tableplan import harness
 from tableplan.cli import main
+from tableplan.harness import run_episode
 from tableplan.config import SceneConfig
 
 PLANS = Path(tableplan.__file__).parent / "plans"
@@ -196,13 +198,27 @@ def _camera(**change):
     ({"task": "custom", "custom_objects": [
         {"class": "cube", "position": ["x", 0.3]}]},
      "position must be a number"),
+    ({"planner": "mock_vlm_graph", "mock_flake_p": 7},
+     "mock_flake_p must be in [0, 1], got 7.0"),
+    ({"mock_latency_s": -5}, "mock_latency_s must be finite and >= 0"),
+    ({"near_threshold_m": "nan"}, "near_threshold_m must be finite, got nan"),
+    ({"thresholds": {"tau_vis": "nan"}}, "tau_vis must be finite and >= 0"),
+    ({"task": "custom", "custom_objects": [{"class": "cube", "colour": "red"}]},
+     "unknown keys in custom object: ['colour']"),
+    ({"task": "custom", "custom_objects": [{"class": "cube", "color": 5}]},
+     "custom object color must be a string, got 5"),
+    (_camera(rotaton_deg=20), "unknown keys in camera: ['rotaton_deg']"),
+    ({"geometry": {"cup_radus": 0.05}}, "unknown keys in geometry: ['cup_radus']"),
 ], ids=["noise_string", "error_bool", "geometry_string", "geometry_shape",
         "geometry_not_object", "image_size_string", "image_size_float",
         "look_at_short", "view_id_list", "cameras_not_list",
         "distractors_string", "chunk_horizon_float", "step_budget_bool",
         "float_null", "table_bounds_short", "table_bounds_scalar",
         "custom_unknown_class", "custom_not_object",
-        "custom_position_string"])
+        "custom_position_string", "mock_flake_p_above_one",
+        "mock_latency_negative", "float_nan_string", "threshold_nan_string",
+        "custom_unknown_key", "custom_color_not_string",
+        "camera_unknown_key", "geometry_unknown_key"])
 def test_run_rejects_wrongly_typed_config(tmp_path, capsys, doc, message):
     cfg_path = tmp_path / "scene.json"
     cfg_path.write_text(json.dumps(doc))
@@ -259,6 +275,24 @@ def test_suite_rejects_unknown_planner_value(capsys):
     assert main(["suite", "--task", "pnp_twice", "--seeds", "1",
                  "--grid", "planner", "--planners", "code,psychic"]) == 2
     assert "unknown planner mode" in capsys.readouterr().err
+
+
+def test_suite_checks_every_cell_before_any_episode(monkeypatch, capsys):
+    calls = []
+
+    def counting(cfg, seed, **kw):
+        calls.append((cfg.distractors, seed))
+        return run_episode(cfg, seed, **kw)
+
+    monkeypatch.setattr(harness, "run_episode", counting)
+    argv = ["suite", "--task", "pnp_twice", "--seeds", "1",
+            "--grid", "distractors", "--distractors"]
+    assert main(argv + ["0,-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "distractors must be >= 0" in err
+    assert calls == []
+    assert main(argv + ["0,1"]) == 0
+    assert calls == [(0, 0), (1, 0)]
 
 
 @pytest.mark.parametrize("args,message", [

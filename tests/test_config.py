@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import asdict
+from dataclasses import FrozenInstanceError, asdict, replace
 from pathlib import Path
 
 import pytest
@@ -19,7 +19,6 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 def test_defaults_validate():
     cfg = SceneConfig()
-    cfg.validate()
     assert cfg.task == "swap_cups"
     assert cfg.planner == "code"
     assert cfg.vision == "masked"
@@ -48,53 +47,96 @@ def test_near_rule_matches_overhead_camera():
     ("chunk_horizon", 2.5),
     ("step_budget", True),
     ("table_bounds", (1.0,)),
+    ("mock_flake_p", 7),
+    ("mock_flake_p", -0.1),
+    ("mock_latency_s", -5),
+    ("mock_latency_s", math.inf),
+    ("near_threshold_m", math.nan),
+    ("near_threshold_m", math.inf),
+    ("near_threshold_m", "0.15"),
+    ("overlap_tolerance", math.nan),
+    ("table_bounds", (1.0, math.inf)),
+    ("table_bounds", ("1.0", 0.75)),
+    ("mock_flake_p", True),
+    ("geometry", {"cup_radus": 0.05}),
+    ("geometry", {"lift_m": math.nan}),
+    ("geometry", {"arm_size": 0.1}),
+    ("custom_objects", ({"class": "cube", "colour": "red"},)),
+    ("custom_objects", ({"class": "cube", "color": 5},)),
+    ("custom_objects", ({"class": "cube", "position": (0.3, math.nan)},)),
+    ("custom_objects", ({"class": "cube", "position": ("0.3", 0.3)},)),
+    ("custom_objects", ("cube",)),
 ])
 def test_validate_rejects(field, value):
-    cfg = SceneConfig(**{field: value})
     with pytest.raises(ConfigError):
-        cfg.validate()
+        SceneConfig(**{field: value})
+
+
+def test_replace_checks_the_new_config():
+    cfg = SceneConfig()
+    with pytest.raises(ConfigError, match="unknown planner mode 'llm'"):
+        replace(cfg, planner="llm")
+    assert replace(cfg, planner="markovian").planner == "markovian"
+
+
+def test_configs_are_immutable():
+    cfg = SceneConfig()
+    with pytest.raises(FrozenInstanceError):
+        cfg.planner = "llm"
+    with pytest.raises(FrozenInstanceError):
+        cfg.perception_noise.feature_sigma = -1.0
+    assert cfg.planner == "code"
 
 
 def test_variant_only_checked_for_swap():
-    cfg = SceneConfig(task="pnp_twice", variant="purple")
-    cfg.validate()  # variant is a swap_cups knob
+    SceneConfig(task="pnp_twice", variant="purple")  # a swap_cups knob
 
 
 def test_duplicate_camera_ids_rejected():
     cam = DEFAULT_CAMERAS[0]
-    cfg = SceneConfig(cameras=(cam, cam))
     with pytest.raises(ConfigError, match="unique"):
-        cfg.validate()
+        SceneConfig(cameras=(cam, cam))
 
 
 def test_camera_validate():
-    cam = CameraConfig("tiny", (32, 32), 100.0, 0.0, (16.0, 16.0), (0.5, 0.5))
-    with pytest.raises(ConfigError, match="64x64"):
-        cam.validate()
-    cam = CameraConfig("flat", (100, 100), 0.0, 0.0, (50.0, 50.0), (0.5, 0.5))
-    with pytest.raises(ConfigError, match="px_per_m"):
-        cam.validate()
+    good = dict(view_id="cam", image_size=(100, 100), px_per_m=100.0,
+                rotation_deg=0.0, center_px=(50.0, 50.0), look_at=(0.5, 0.5))
+    CameraConfig(**good)
+    for change, message in [
+        ({"image_size": (32, 32)}, "64x64"),
+        ({"px_per_m": 0.0}, "px_per_m must be > 0"),
+        ({"px_per_m": math.inf}, "px_per_m must be finite"),
+        ({"px_per_m": "100"}, "px_per_m must be a number"),
+        ({"rotation_deg": math.nan}, "rotation_deg must be finite"),
+        ({"center_px": (50.0, math.inf)}, "center_px must be finite"),
+        ({"look_at": (0.5,)}, "look_at must be a list of 2 numbers"),
+        ({"image_size": (128.0, 128)}, "image_size must be an integer"),
+        ({"view_id": 3}, "view_id must be a string"),
+    ]:
+        with pytest.raises(ConfigError, match=message):
+            CameraConfig(**{**good, **change})
 
 
 def test_noise_validate():
     with pytest.raises(ConfigError):
-        NoiseConfig(class_confusion_p=1.5).validate()
+        NoiseConfig(class_confusion_p=1.5)
     with pytest.raises(ConfigError):
-        NoiseConfig(feature_sigma=-0.1).validate()
-    DEFAULT_NOISE.validate()
+        NoiseConfig(feature_sigma=-0.1)
+    with pytest.raises(ConfigError, match="tracker_loss_p must be a number"):
+        NoiseConfig(tracker_loss_p="0.1")
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", ["feature_sigma", "tracker_drift_px_per_step"])
 def test_noise_magnitudes_must_be_finite(name, value):
     with pytest.raises(ConfigError, match=name):
-        NoiseConfig(**{name: value}).validate()
+        NoiseConfig(**{name: value})
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_per_distractor_p_must_be_finite(value):
     with pytest.raises(ConfigError, match="per_distractor_p"):
-        GroundingErrorModel(per_distractor_p=value).validate()
+        GroundingErrorModel(per_distractor_p=value)
 
 
 def test_error_model():
@@ -103,17 +145,14 @@ def test_error_model():
     assert m.probability(2) == pytest.approx(0.12)
     assert m.probability(50) == pytest.approx(0.3)
     with pytest.raises(ConfigError):
-        GroundingErrorModel(base_p=-0.1).validate()
-    DEFAULT_EXECUTOR_ERROR.validate()
+        GroundingErrorModel(base_p=-0.1)
 
 
 def test_custom_task_needs_objects():
-    cfg = SceneConfig(task="custom")
     with pytest.raises(ConfigError, match="custom_objects"):
-        cfg.validate()
-    cfg = SceneConfig(task="custom",
-                      custom_objects=({"class": "cube", "color": "red"},))
-    cfg.validate()
+        SceneConfig(task="custom")
+    SceneConfig(task="custom",
+                custom_objects=({"class": "cube", "color": "red"},))
 
 
 def test_custom_classes_have_footprints():
@@ -121,8 +160,7 @@ def test_custom_classes_have_footprints():
         assert circumradius(_footprint_for(cls, DEFAULT_GEOMETRY)) > 0
     assert set(DISTRACTOR_CLASSES) <= set(CUSTOM_CLASSES)
     with pytest.raises(ConfigError, match="unicorn"):
-        SceneConfig(task="custom",
-                    custom_objects=({"class": "unicorn"},)).validate()
+        SceneConfig(task="custom", custom_objects=({"class": "unicorn"},))
 
 
 def test_dict_roundtrip():
@@ -154,7 +192,6 @@ def test_from_dict_accepts_stringified_floats():
                       executor_error=DEFAULT_EXECUTOR_ERROR)
     wire = json.loads(canonical_json(cfg.to_dict()))
     back = SceneConfig.from_dict(wire)
-    back.validate()
     assert back == cfg
 
 
@@ -162,6 +199,7 @@ def test_geometry_merges_defaults():
     cfg = SceneConfig.from_dict({"geometry": {"lift_m": 0.05}})
     assert cfg.geometry["lift_m"] == 0.05
     assert cfg.geometry["plate_radius"] == 0.09
+    assert SceneConfig(geometry={"lift_m": 0.05}) == cfg
 
 
 def test_camera_from_dict_defaults():
@@ -199,6 +237,13 @@ def test_perfect_config():
 def test_thresholds_defaults():
     t = AssocThresholds()
     assert (t.tau_vis, t.tau_geo, t.margin_geo) == (0.15, 0.10, 0.05)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -0.1, "0.1", None])
+@pytest.mark.parametrize("name", ["tau_vis", "tau_geo", "margin_geo"])
+def test_thresholds_reject(name, value):
+    with pytest.raises(ConfigError, match=name):
+        AssocThresholds(**{name: value})
 
 
 def reference_to_dict(cfg: SceneConfig) -> dict:

@@ -38,7 +38,6 @@ THRESH = AssocThresholds()
 
 def scene(task="swap_cups", seed=0, **kw):
     cfg = SceneConfig(task=task, **kw)
-    cfg.validate()
     world = init_world(cfg, seed)
     raw = render_views(world, cfg.cameras, cfg.geometry["lift_m"])
     return cfg, world, raw

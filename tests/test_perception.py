@@ -19,13 +19,12 @@ from tableplan.world import (DISTRACTOR_CLASSES, LayoutInfeasible, Primitive,
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 # a task that admits every class, so segment keeps every detection
-ADMIT_ALL = TaskSpec("all", "every class",
+ADMIT_ALL = TaskSpec("every class",
                      frozenset(("cube", "cup", "plate") + DISTRACTOR_CLASSES))
 
 
 def rendered(task="swap_cups", seed=0, **kw):
     cfg = SceneConfig(task=task, **kw)
-    cfg.validate()
     world = init_world(cfg, seed)
     return cfg, world, render_views(world, cfg.cameras, cfg.geometry["lift_m"])
 

@@ -18,7 +18,6 @@ from scenes import (full_frame_box, full_mask, move_sequence,
 
 def scene(task="swap_cups", seed=0, **kw):
     cfg = SceneConfig(task=task, **kw)
-    cfg.validate()
     return cfg, init_world(cfg, seed)
 
 

@@ -12,9 +12,7 @@ from tableplan.world import (HELD_Z, LayoutInfeasible, MilestoneTracker,
 
 
 def world_for(task, seed=0, **kw):
-    cfg = SceneConfig(task=task, **kw)
-    cfg.validate()
-    return init_world(cfg, seed)
+    return init_world(SceneConfig(task=task, **kw), seed)
 
 
 # -- geometry helpers ---------------------------------------------------------
@@ -270,14 +268,12 @@ def test_custom_layout_fixed_position():
         {"class": "cube", "color": "red", "position": (0.3, 0.3)},
         {"class": "cup", "color": "blue"},
     ))
-    cfg.validate()
     w = init_world(cfg, 0)
     cube = w.by_class("cube")[0]
     assert (cube.x, cube.y) == (0.3, 0.3)
     with pytest.raises(LayoutInfeasible):
         bad = SceneConfig(task="custom", custom_objects=(
             {"class": "cube", "position": (0.0, 0.0)},))
-        bad.validate()
         init_world(bad, 0)
 
 
