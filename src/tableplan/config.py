@@ -10,7 +10,9 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, asdict
+from collections.abc import Mapping
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from types import MappingProxyType
 from typing import Any
 
 TASKS = ("pnp_twice", "place_and_stack", "swap_cups", "custom")
@@ -189,7 +191,11 @@ DEFAULT_EXECUTOR_ERROR = GroundingErrorModel(base_p=0.02, per_distractor_p=0.05,
 
 @dataclass(frozen=True)
 class SceneConfig:
-    """One run's scene, checked when built (and by dataclasses.replace)."""
+    """One run's scene, checked when built (and by dataclasses.replace).
+
+    `geometry` and each custom object are stored as read-only mappings, and
+    a custom object's position as a tuple.
+    """
 
     task: str = "swap_cups"
     variant: str = "black"  # swap_cups: which cup must move first
@@ -201,7 +207,7 @@ class SceneConfig:
     perception_noise: NoiseConfig = field(default_factory=NoiseConfig)
     executor_error: GroundingErrorModel = field(default_factory=GroundingErrorModel)
     thresholds: AssocThresholds = field(default_factory=AssocThresholds)
-    geometry: dict = field(default_factory=lambda: dict(DEFAULT_GEOMETRY))
+    geometry: Mapping = field(default_factory=lambda: dict(DEFAULT_GEOMETRY))
     planner: str = "code"
     vision: str = "masked"
     chunk_horizon: int = 10
@@ -213,6 +219,8 @@ class SceneConfig:
     def __post_init__(self) -> None:
         if self.task not in TASKS:
             raise ConfigError(f"unknown task {self.task!r}")
+        if not isinstance(self.variant, str):
+            raise ConfigError(f"variant must be a string, got {self.variant!r}")
         if self.task == "swap_cups" and self.variant not in ("black", "blue"):
             raise ConfigError(f"swap_cups variant must be black|blue, got {self.variant!r}")
         if self.planner not in PLANNER_MODES:
@@ -239,21 +247,33 @@ class SceneConfig:
             raise ConfigError("camera view_ids must be unique")
         if self.task == "custom" and not self.custom_objects:
             raise ConfigError("custom task needs custom_objects")
-        for spec in self.custom_objects:
-            _check_custom_object(spec)
+        object.__setattr__(self, "custom_objects", tuple(
+            _frozen_custom_object(spec) for spec in self.custom_objects))
         _numbers(self.table_bounds, "table_bounds", 2, _finite)
         _finite(self.near_threshold_m, "near_threshold_m")
         _finite(self.overlap_tolerance, "overlap_tolerance")
         _magnitudes(self, "mock_latency_s")
         _probabilities(self, "mock_flake_p")
         # stored merged with the defaults, as from_dict reads it
-        object.__setattr__(self, "geometry", _geometry(self.geometry, _finite))
+        object.__setattr__(self, "geometry", MappingProxyType(
+            _geometry(self.geometry, _finite)))
 
     # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
-        d = asdict(self)
-        d["cameras"] = list(d["cameras"])
+        # field by field: asdict cannot copy the read-only mappings
+        d = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "cameras":
+                value = [asdict(c) for c in value]
+            elif f.name == "geometry":
+                value = dict(value)
+            elif f.name == "custom_objects":
+                value = tuple(dict(spec) for spec in value)
+            elif is_dataclass(value):
+                value = asdict(value)
+            d[f.name] = value
         return d
 
     @classmethod
@@ -335,7 +355,7 @@ def _sub(cls, value, key):
 
 def _geometry(value, item=_number) -> dict:
     """The defaults updated by `value`; a key keeps its default's shape."""
-    if not isinstance(value, dict):
+    if not isinstance(value, Mapping):
         raise ConfigError("geometry must be an object")
     _known_keys(value, DEFAULT_GEOMETRY, "geometry")
     out = {}
@@ -354,8 +374,9 @@ def _custom_object(value):
     return value
 
 
-def _check_custom_object(spec) -> None:
-    if not isinstance(spec, dict):
+def _frozen_custom_object(spec) -> Mapping:
+    """A read-only copy of a checked custom object, position as a tuple."""
+    if not isinstance(spec, Mapping):
         raise ConfigError("custom_objects entries must be objects")
     if spec.get("class") not in CUSTOM_CLASSES:
         raise ConfigError(f"custom object class must be one of "
@@ -365,8 +386,10 @@ def _check_custom_object(spec) -> None:
     if not isinstance(spec.get("color", ""), str):
         raise ConfigError(f"custom object color must be a string, "
                           f"got {spec['color']!r}")
+    out = dict(spec)
     if "position" in spec:
-        _numbers(spec["position"], "position", 2, _finite)
+        out["position"] = _numbers(spec["position"], "position", 2, _finite)
+    return MappingProxyType(out)
 
 
 def _camera_from(value) -> CameraConfig:

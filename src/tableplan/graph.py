@@ -77,7 +77,6 @@ class SemanticGraph:
     nodes: dict = field(default_factory=dict)    # node_id -> GraphNode
     edges: dict = field(default_factory=dict)    # (src, dst, rel) -> since_step
     task_memory: list = field(default_factory=list)
-    bindings: dict = field(default_factory=dict)  # name -> node_id
     gripper_free: bool = True
     held_node: Optional[int] = None
     next_node_id: int = 1
@@ -98,7 +97,6 @@ class SemanticGraph:
         self.nodes[node.node_id] = node
         self.next_node_id += 1
         node.name = self._assign_name(node)
-        self.bindings[node.name] = node.node_id
         return node
 
     def _assign_name(self, node: GraphNode) -> str:
@@ -113,7 +111,11 @@ class SemanticGraph:
         return f"{base}_{k}"
 
     def resolve(self, name: str) -> Optional[int]:
-        return self.bindings.get(name)
+        """The id of the node named `name` (names are unique), or None."""
+        for node in self.nodes.values():
+            if node.name == name:
+                return node.node_id
+        return None
 
     def arm_node_id(self) -> Optional[int]:
         for node in self.sorted_nodes():

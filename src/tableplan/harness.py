@@ -28,7 +28,7 @@ from .prompting import clutter_free_obs, raw_obs_passthrough
 from .render import Renderer
 from .rng import Rng
 from .serialize import canonical_json, config_hash, graph_to_snapshot
-from .world import MilestoneTracker, WorldState, init_world
+from .world import TASK_TABLE, MilestoneTracker, WorldState, init_world
 
 
 class VersionMismatch(Exception):
@@ -59,13 +59,12 @@ class EpisodeResult:
 
 @lru_cache(maxsize=None)
 def load_task_program(task: str, variant: str = "black") -> PlannerProgram:
-    name = "swap_cups_blue" if (task, variant) == ("swap_cups", "blue") else task
+    entry = TASK_TABLE.get(task)
+    name = entry and entry.variant_plans.get(variant, entry.plan)
+    if name is None:
+        raise ConfigError(f"no bundled plan for task {task!r}")
     path = resources.files("tableplan") / "plans" / f"{name}.plan"
-    try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise ConfigError(f"no bundled plan for task {task!r}") from None
-    return parse_program(text)
+    return parse_program(path.read_text(encoding="utf-8"))
 
 
 # -- mock VLM stand-ins -------------------------------------------------------

@@ -23,7 +23,7 @@ FEATURE_DIM = 16
 # Confused detections take a random clutter class, which the relevance
 # filter in `segment` then discards; the sets are disjoint from task
 # classes by design.
-from .world import ARM_CLASS, DISTRACTOR_CLASSES
+from .world import ARM_CLASS, DISTRACTOR_CLASSES, task_entry
 
 
 @lru_cache(maxsize=8192)
@@ -69,20 +69,12 @@ class TaskSpec:
 
 def make_task_spec(task: str, variant: str = "black",
                    custom_classes: tuple = ()) -> TaskSpec:
-    if task == "pnp_twice":
-        return TaskSpec("move the cube to the other plate, then bring it back",
-                        frozenset({"cube", "plate"}))
-    if task == "place_and_stack":
-        return TaskSpec("drop the cube into the nearest cup, then stack the "
-                        "other cup on top",
-                        frozenset({"cube", "cup"}))
-    if task == "swap_cups":
-        return TaskSpec(f"swap the two cups using the free plate, moving the "
-                        f"{variant} cup first",
-                        frozenset({"cup", "plate"}))
-    if task == "custom":
-        return TaskSpec("custom layout", frozenset(custom_classes))
-    raise ValueError(task)
+    """The task's instruction, formatted with the variant, and its relevant
+    classes, both read from its world.TASK_TABLE entry; a custom task keeps
+    the classes of its custom objects.  ValueError for an unknown task."""
+    entry = task_entry(task)
+    return TaskSpec(entry.instruction.format(variant=variant),
+                    entry.classes or frozenset(custom_classes))
 
 
 def perturbed_feature(bases: list, sigma: float, start_states: list) -> list:

@@ -100,9 +100,6 @@ class Rng:
     def getstate(self) -> int:
         return self._state
 
-    def setstate(self, state: int) -> None:
-        self._state = state & _MASK64
-
     def next_u64(self) -> int:
         self._state = (self._state + _GOLDEN) & _MASK64
         return mix64(self._state)
@@ -128,9 +125,6 @@ class Rng:
             u = self.next_u64()
             if u < limit:
                 return u % n
-
-    def choice(self, seq):
-        return seq[self.randrange(len(seq))]
 
     def normal(self, mu: float = 0.0, sigma: float = 1.0) -> float:
         # u1 in (0, 1] so the log is finite; exactly two draws per call.

@@ -21,20 +21,6 @@ def fmt_float(x) -> str:
     return "%.9g" % float(x)
 
 
-def rle_encode(mask: np.ndarray) -> list:
-    """Row-major run lengths, starting with a zero-run (possibly length 0),
-    by a whole-frame scan; snapshots use the box-local Region.rle."""
-    flat = np.asarray(mask, dtype=bool).ravel()
-    if flat.size == 0:
-        return []
-    changes = np.flatnonzero(flat[1:] != flat[:-1]) + 1
-    bounds = np.concatenate(([0], changes, [flat.size]))
-    runs = np.diff(bounds).tolist()
-    if flat[0]:
-        runs.insert(0, 0)
-    return runs
-
-
 def rle_decode(runs: list, shape: tuple) -> np.ndarray:
     total = int(shape[0]) * int(shape[1])
     flat = np.zeros(total, dtype=bool)
@@ -155,7 +141,6 @@ def graph_from_snapshot(snapshot: dict) -> SemanticGraph:
             last_seen_step=int(rec["last_seen"]),
             flags=tuple(rec["flags"]))
         graph.nodes[node.node_id] = node
-        graph.bindings[node.name] = node.node_id
     graph.next_node_id = max(graph.nodes, default=0) + 1
     for src, dst, rel, since in snapshot["edges"]:
         graph.edges[(int(src), int(dst), rel)] = int(since)

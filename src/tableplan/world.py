@@ -4,6 +4,11 @@ The world is the ground truth that the perception/graph pipeline must never
 read directly; it is consumed only through rendered observations and the
 oracles defined here.  Primitives are deterministic; infeasible ones are
 rejected and leave the world unchanged.
+
+Each task of config.TASKS is defined once, as its TASK_TABLE entry: the
+instruction and relevant classes (read by perception.make_task_spec), the
+bundled plan of each variant (harness.load_task_program), the layout
+(init_world) and the judge (MilestoneTracker).
 """
 
 from __future__ import annotations
@@ -412,20 +417,67 @@ class _Builder:
             table_bounds=self.cfg.table_bounds, step_count=0)
 
 
-def init_world(cfg: SceneConfig, seed: int) -> WorldState:
-    """Build the initial world for (config, seed); deterministic."""
-    rng = Rng.substream(seed, "world_init")
-    b = _Builder(cfg, rng)
-    b.add_arm()
+# -- tasks ---------------------------------------------------------------------
 
-    if cfg.task == "pnp_twice":
+
+class Task:
+    """A TASK_TABLE entry: instruction, classes, plans, static `layout`.
+
+    An instance judges one episode: roles (object ids) cast from the initial
+    world, the first pick among the `watched` ids, and a success test.  The
+    milestone (name, role A, role B) is the first time A sits in B.
+    """
+
+    instruction = ""    # formatted with the variant
+    classes = None      # relevant classes; None: those of the custom objects
+    plan = None         # bundled plan file stem; None: no bundled plan
+    variant_plans = {}  # variant -> plan stem, where it is not `plan`
+    milestone = None
+    watched = ()
+    first_pick = None
+
+    def __init__(self, world: WorldState, variant: str):
+        pass
+
+    def success(self, world: WorldState, milestones: list) -> bool:
+        return False
+
+
+class PnpTwice(Task):
+    instruction = "move the cube to the other plate, then bring it back"
+    classes = frozenset({"cube", "plate"})
+    plan = "pnp_twice"
+    milestone = (MILESTONE_PNP_ONCE, "cube", "other")
+
+    @staticmethod
+    def layout(b, cfg, rng):
         cube_r = circumradius(_footprint_for("cube", cfg.geometry))
         hold = [(cube_r, 2)]  # the cube renders at layer 2 over either plate
         p1 = b.add_placed("plate", extra=hold)
         p2 = b.add_placed("plate", extra=hold)
         start = p1 if rng.randrange(2) == 0 else p2
         b.add("cube", start.x, start.y, z=2, container_of=start.id)
-    elif cfg.task == "place_and_stack":
+
+    def __init__(self, world, variant):
+        cube = world.by_class("cube")[0]
+        self.cube, self.start = cube.id, cube.container_of
+        self.other = [p.id for p in world.by_class("plate")
+                      if p.id != self.start][0]
+
+    def success(self, world, milestones):
+        return (MILESTONE_PNP_ONCE in milestones
+                and world.get(self.cube).container_of == self.start)
+
+
+class PlaceAndStack(Task):
+    instruction = ("drop the cube into the nearest cup, then stack the "
+                   "other cup on top")
+    classes = frozenset({"cube", "cup"})
+    plan = "place_and_stack"
+    milestone = (MILESTONE_DROP_CUBE, "cube", "near")
+
+    @staticmethod
+    def layout(b, cfg, rng):
         geom = cfg.geometry
         bw = cfg.table_bounds[0]
         left = (0.0, bw * 0.33)
@@ -444,7 +496,28 @@ def init_world(cfg: SceneConfig, seed: int) -> WorldState:
         x, y = b.placer.sample(cube_r, z=1,
                                annulus=(near_cup.x, near_cup.y, r_lo, r_hi))
         b.add("cube", x, y, z=1)
-    elif cfg.task == "swap_cups":
+
+    def __init__(self, world, variant):
+        cube = world.by_class("cube")[0]
+        cups = sorted(world.by_class("cup"),
+                      key=lambda c: math.hypot(c.x - cube.x, c.y - cube.y))
+        self.cube, self.near, self.other = cube.id, cups[0].id, cups[1].id
+
+    def success(self, world, milestones):
+        return (world.get(self.cube).container_of == self.near
+                and world.get(self.other).support_of == self.near)
+
+
+class SwapCups(Task):
+    instruction = ("swap the two cups using the free plate, moving the "
+                   "{variant} cup first")
+    classes = frozenset({"cup", "plate"})
+    plan = "swap_cups"
+    variant_plans = {"blue": "swap_cups_blue"}
+    milestone = (MILESTONE_STAGE_CUP, "first", "buffer")
+
+    @staticmethod
+    def layout(b, cfg, rng):
         cup_r = circumradius(_footprint_for("cup", cfg.geometry))
         hold = [(cup_r, 2)]  # every plate may hold a cup during the swap
         plates = [b.add_placed("plate", extra=hold) for _ in range(3)]
@@ -456,7 +529,28 @@ def init_world(cfg: SceneConfig, seed: int) -> WorldState:
               container_of=black_plate.id)
         b.add("cup", blue_plate.x, blue_plate.y, z=2, color="blue",
               container_of=blue_plate.id)
-    elif cfg.task == "custom":
+
+    def __init__(self, world, variant):
+        cups = world.by_class("cup")
+        first = [c for c in cups if c.attribute("color") == variant][0]
+        second = [c for c in cups if c.id != first.id][0]
+        self.first, self.second = first.id, second.id
+        self.first_src, self.second_src = first.container_of, second.container_of
+        self.buffer = [p.id for p in world.by_class("plate")
+                       if p.id not in (self.first_src, self.second_src)][0]
+        self.watched = (self.first, self.second)
+
+    def success(self, world, milestones):
+        return (world.get(self.first).container_of == self.second_src
+                and world.get(self.second).container_of == self.first_src
+                and self.first_pick == self.first)
+
+
+class Custom(Task):
+    instruction = "custom layout"
+
+    @staticmethod
+    def layout(b, cfg, rng):
         for spec in cfg.custom_objects:
             cls = spec["class"]
             color = spec.get("color")
@@ -469,21 +563,31 @@ def init_world(cfg: SceneConfig, seed: int) -> WorldState:
                 b.add(cls, x, y, color=color)
             else:
                 b.add_placed(cls, color=color)
-    else:  # pragma: no cover - config validation rejects this earlier
-        raise ValueError(cfg.task)
 
+
+# config.TASKS name -> its definition
+TASK_TABLE = {"pnp_twice": PnpTwice, "place_and_stack": PlaceAndStack,
+              "swap_cups": SwapCups, "custom": Custom}
+
+
+def task_entry(task: str) -> type:
+    """TASK_TABLE[task]; ValueError for a task it does not hold."""
+    if task not in TASK_TABLE:
+        raise ValueError(task)
+    return TASK_TABLE[task]
+
+
+def init_world(cfg: SceneConfig, seed: int) -> WorldState:
+    """Build the initial world for (config, seed); deterministic."""
+    rng = Rng.substream(seed, "world_init")
+    b = _Builder(cfg, rng)
+    b.add_arm()
+    TASK_TABLE[cfg.task].layout(b, cfg, rng)
     b.add_distractors(cfg.distractors)
     return b.world()
 
 
 # -- task oracle ---------------------------------------------------------------
-
-
-def _nearest_cup_to_cube(world: WorldState) -> tuple:
-    cube = world.by_class("cube")[0]
-    cups = sorted(world.by_class("cup"),
-                  key=lambda c: math.hypot(c.x - cube.x, c.y - cube.y))
-    return cube, cups[0], cups[1]
 
 
 class MilestoneTracker:
@@ -495,73 +599,28 @@ class MilestoneTracker:
     """
 
     def __init__(self, initial_world: WorldState, task: str, variant: str = "black"):
-        self.task = task
         self.world = initial_world
         self.milestones: list[str] = []
-        if task == "pnp_twice":
-            cube = initial_world.by_class("cube")[0]
-            self._cube = cube.id
-            self._start = cube.container_of
-            plates = initial_world.by_class("plate")
-            self._other = [p.id for p in plates if p.id != self._start][0]
-            self._visited = False
-        elif task == "place_and_stack":
-            cube, near, other = _nearest_cup_to_cube(initial_world)
-            self._cube, self._near, self._other = cube.id, near.id, other.id
-        elif task == "swap_cups":
-            cups = initial_world.by_class("cup")
-            first = [c for c in cups if c.attribute("color") == variant][0]
-            other = [c for c in cups if c.id != first.id][0]
-            self._first, self._second = first.id, other.id
-            self._first_src = first.container_of
-            self._second_src = other.container_of
-            occupied = {first.container_of, other.container_of}
-            self._buffer = [p.id for p in initial_world.by_class("plate")
-                            if p.id not in occupied][0]
-            self._first_picked_cup: Optional[int] = None
-        elif task == "custom":
-            pass
-        else:
-            raise ValueError(task)
+        self.judge = task_entry(task)(initial_world, variant)
 
     def feed(self, prim: Primitive) -> PrimitiveResult:
         self.world, result = apply_primitive(self.world, prim)
         if not result.ok:
             return result
-        if self.task == "pnp_twice":
-            cube = self.world.get(self._cube)
-            if cube.container_of == self._other and not self._visited:
-                self._visited = True
-                self.milestones.append(MILESTONE_PNP_ONCE)
-        elif self.task == "place_and_stack":
-            cube = self.world.get(self._cube)
-            if cube.container_of == self._near and MILESTONE_DROP_CUBE not in self.milestones:
-                self.milestones.append(MILESTONE_DROP_CUBE)
-        elif self.task == "swap_cups":
-            if (prim.kind == "pick" and self._first_picked_cup is None
-                    and prim.target in (self._first, self._second)):
-                self._first_picked_cup = prim.target
-            first = self.world.get(self._first)
-            if first.container_of == self._buffer and MILESTONE_STAGE_CUP not in self.milestones:
-                self.milestones.append(MILESTONE_STAGE_CUP)
+        judge = self.judge
+        if (prim.kind == "pick" and judge.first_pick is None
+                and prim.target in judge.watched):
+            judge.first_pick = prim.target
+        if judge.milestone is not None:
+            name, a, b = judge.milestone
+            if (name not in self.milestones and self.world.get(
+                    getattr(judge, a)).container_of == getattr(judge, b)):
+                self.milestones.append(name)
         return result
 
     @property
     def success(self) -> bool:
-        if self.task == "pnp_twice":
-            cube = self.world.get(self._cube)
-            return self._visited and cube.container_of == self._start
-        if self.task == "place_and_stack":
-            cube = self.world.get(self._cube)
-            other = self.world.get(self._other)
-            return cube.container_of == self._near and other.support_of == self._near
-        if self.task == "swap_cups":
-            first = self.world.get(self._first)
-            second = self.world.get(self._second)
-            return (first.container_of == self._second_src
-                    and second.container_of == self._first_src
-                    and self._first_picked_cup == self._first)
-        return False
+        return self.judge.success(self.world, self.milestones)
 
 
 def task_oracle(initial_world: WorldState, task: str, variant: str,

@@ -82,6 +82,20 @@ def full_mask(region) -> np.ndarray:
     return mask
 
 
+def rle_encode(mask: np.ndarray) -> list:
+    """Row-major run lengths, starting with a zero-run (possibly length 0),
+    by a whole-frame scan: the reference for the box-local Region.rle."""
+    flat = np.asarray(mask, dtype=bool).ravel()
+    if flat.size == 0:
+        return []
+    changes = np.flatnonzero(flat[1:] != flat[:-1]) + 1
+    bounds = np.concatenate(([0], changes, [flat.size]))
+    runs = np.diff(bounds).tolist()
+    if flat[0]:
+        runs.insert(0, 0)
+    return runs
+
+
 def full_frame_box(mask: np.ndarray):
     """Tight (row0, row1, col0, col1) box by a whole-frame scan, or None."""
     rows, cols = np.nonzero(mask)

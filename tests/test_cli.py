@@ -209,6 +209,7 @@ def _camera(**change):
      "custom object color must be a string, got 5"),
     (_camera(rotaton_deg=20), "unknown keys in camera: ['rotaton_deg']"),
     ({"geometry": {"cup_radus": 0.05}}, "unknown keys in geometry: ['cup_radus']"),
+    ({"task": "pnp_twice", "variant": 5}, "variant must be a string, got 5"),
 ], ids=["noise_string", "error_bool", "geometry_string", "geometry_shape",
         "geometry_not_object", "image_size_string", "image_size_float",
         "look_at_short", "view_id_list", "cameras_not_list",
@@ -218,7 +219,7 @@ def _camera(**change):
         "custom_position_string", "mock_flake_p_above_one",
         "mock_latency_negative", "float_nan_string", "threshold_nan_string",
         "custom_unknown_key", "custom_color_not_string",
-        "camera_unknown_key", "geometry_unknown_key"])
+        "camera_unknown_key", "geometry_unknown_key", "variant_not_string"])
 def test_run_rejects_wrongly_typed_config(tmp_path, capsys, doc, message):
     cfg_path = tmp_path / "scene.json"
     cfg_path.write_text(json.dumps(doc))

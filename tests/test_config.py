@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 from dataclasses import FrozenInstanceError, asdict, replace
@@ -66,6 +67,7 @@ def test_near_rule_matches_overhead_camera():
     ("custom_objects", ({"class": "cube", "position": (0.3, math.nan)},)),
     ("custom_objects", ({"class": "cube", "position": ("0.3", 0.3)},)),
     ("custom_objects", ("cube",)),
+    ("variant", 5),
 ])
 def test_validate_rejects(field, value):
     with pytest.raises(ConfigError):
@@ -90,6 +92,23 @@ def test_configs_are_immutable():
 
 def test_variant_only_checked_for_swap():
     SceneConfig(task="pnp_twice", variant="purple")  # a swap_cups knob
+    with pytest.raises(ConfigError, match="variant must be a string"):
+        SceneConfig(task="pnp_twice", variant=5)
+
+
+def test_nested_containers_are_read_only():
+    cfg = SceneConfig(task="custom", custom_objects=[
+        {"class": "cube", "position": [0.3, 0.3]}])
+    with pytest.raises(TypeError):
+        cfg.geometry["lift_m"] = math.nan
+    with pytest.raises(TypeError):
+        cfg.custom_objects[0]["class"] = "unicorn"
+    assert cfg.custom_objects[0]["position"] == (0.3, 0.3)
+    assert cfg.geometry["lift_m"] == DEFAULT_GEOMETRY["lift_m"]
+    # replace re-checks the read-only mappings it is handed back
+    assert replace(cfg, distractors=1).custom_objects == cfg.custom_objects
+    with pytest.raises(ConfigError, match="unicorn"):
+        replace(cfg, custom_objects=({"class": "unicorn"},))
 
 
 def test_duplicate_camera_ids_rejected():
@@ -247,8 +266,13 @@ def test_thresholds_reject(name, value):
 
 
 def reference_to_dict(cfg: SceneConfig) -> dict:
-    """to_dict as it was, converting the cameras a second time."""
-    d = asdict(cfg)
+    """to_dict as it was, converting the cameras a second time; asdict runs
+    on a copy holding plain-dict copies of the read-only mappings."""
+    plain = copy.copy(cfg)
+    object.__setattr__(plain, "geometry", dict(cfg.geometry))
+    object.__setattr__(plain, "custom_objects",
+                       tuple(dict(o) for o in cfg.custom_objects))
+    d = asdict(plain)
     d["cameras"] = [asdict(c) for c in cfg.cameras]
     return d
 
@@ -257,7 +281,8 @@ def test_to_dict_and_hash_match_the_reference():
     bundled = sorted(CONFIGS.glob("*.json"))
     assert bundled
     cfgs = [SceneConfig.load(p) for p in bundled]
-    custom = {"custom_objects": ({"class": "cube", "color": "red"},)}
+    custom = {"custom_objects": ({"class": "cube", "color": "red"},
+                                 {"class": "cup", "position": [0.3, 0.3]})}
     for task in TASKS:
         kw = custom if task == "custom" else {}
         cfgs += [perfect_config(task, **kw), default_noise_config(task, **kw)]

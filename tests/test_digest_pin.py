@@ -3,9 +3,11 @@
 Two episodes of every benchmark workload config -- the three perfect tasks,
 configs/swap_noisy.json, raw vision with 8 distractors, and the three
 place_and_stack planners at default noise (written to a log and replayed) --
-are hashed the way the benchmark hashes them: the canonical JSON of each
-record with its wall-clock fields dropped.  A change that alters what the
-loop computes changes a hash here; a refactor or a speed-up must not.
+and of a custom-task layout (fixed and sampled objects plus distractors,
+planned by mock_vlm_rgb, which needs no plan file) are hashed the way the
+benchmark hashes them: the canonical JSON of each record with its
+wall-clock fields dropped.  A change that alters what the loop computes
+changes a hash here; a refactor or a speed-up must not.
 """
 
 import hashlib
@@ -20,6 +22,8 @@ from tableplan.serialize import canonical_json
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 VOLATILE = ("latency_ns", "wall_time_s")
 SEEDS = (1, 2)
+CUSTOM_OBJECTS = ({"class": "cube", "color": "red", "position": (0.3, 0.3)},
+                  {"class": "cup", "color": "blue"}, {"class": "plate"})
 
 
 def _config(name: str) -> SceneConfig:
@@ -29,6 +33,9 @@ def _config(name: str) -> SceneConfig:
         return SceneConfig.load(str(CONFIGS / "swap_noisy.json"))
     if name == "raw_clutter":
         return perfect_config("swap_cups", distractors=8, vision="raw")
+    if name == "custom_rgb":
+        return SceneConfig(task="custom", planner="mock_vlm_rgb",
+                           distractors=2, custom_objects=CUSTOM_OBJECTS)
     planner = name[len("replay_"):]
     return default_noise_config("place_and_stack", planner=planner)
 
@@ -44,6 +51,10 @@ def records_digest(records: list) -> str:
 
 # (config, seed) -> records digest
 PINNED = {
+    ("custom_rgb", 1):
+        "69749cd75d6a8d15170355e02ca3b72691c35ba632428913f3c350e42d865295",
+    ("custom_rgb", 2):
+        "ac43770129b9c1bfa1c814d624069005faae889c4539561027a22ac9b8d7e365",
     ("perfect_pnp_twice", 1):
         "d9f1bc35455d8b2cdf2ff9d711104ca125764af5bbfde7a173c04156f0a1b7d4",
     ("perfect_pnp_twice", 2):

@@ -824,8 +824,7 @@ def test_init_graph_matches_eager_bootstrap():
         assert canonical_json(graph_to_snapshot(got)) == \
             canonical_json(graph_to_snapshot(want))
         assert got_rng.getstate() == want_rng.getstate()
-        assert (got.next_node_id, got.bindings) == \
-            (want.next_node_id, want.bindings)
+        assert got.next_node_id == want.next_node_id
         assert [n.feature.tobytes() for n in got.sorted_nodes()] == \
             [n.feature.tobytes() for n in want.sorted_nodes()]
         assert got.held_node == scanned_held_node(got, raw.held_object_id)

@@ -1,10 +1,11 @@
 import json
+from importlib import resources
 
 import pytest
 
 from tableplan import __version__
 from tableplan.config import ConfigError, default_noise_config, perfect_config
-from tableplan.dsl import evaluate_policy
+from tableplan.dsl import evaluate_policy, parse_program
 from tableplan.graph import init_graph
 from tableplan.harness import (DivergenceAt, VersionMismatch, _flake,
                                format_suite_table, load_log,
@@ -23,6 +24,19 @@ def test_load_task_program():
     assert load_task_program("swap_cups", "blue").name == "swap-cups-blue"
     with pytest.raises(ConfigError):
         load_task_program("custom")
+    with pytest.raises(ConfigError):
+        load_task_program("juggling")
+
+
+@pytest.mark.parametrize("task,variant,stem", [
+    ("swap_cups", "blue", "swap_cups_blue"),
+    ("swap_cups", "black", "swap_cups"),
+    ("pnp_twice", "blue", "pnp_twice"),
+])
+def test_load_task_program_reads_the_variant_plan_file(task, variant, stem):
+    path = resources.files("tableplan") / "plans" / f"{stem}.plan"
+    want = parse_program(path.read_text(encoding="utf-8"))
+    assert load_task_program(task, variant) == want
 
 
 @pytest.mark.parametrize("task,chunks,milestones", [

@@ -8,7 +8,7 @@ import pytest
 from scipy import ndimage
 
 from scenes import (full_frame_box, full_mask, graph_and_drifted_tracks,
-                    scattered_scenes, workload_configs)
+                    rle_encode, scattered_scenes, workload_configs)
 from tableplan import region as region_mod
 from tableplan.config import NoiseConfig
 from tableplan.harness import run_episode
@@ -16,7 +16,7 @@ from tableplan.perception import make_task_spec, segment
 from tableplan.region import CONTAIN_DILATE_PX, HULL_PAD, Region
 from tableplan.render import Renderer
 from tableplan.rng import Rng
-from tableplan.serialize import rle_decode, rle_encode
+from tableplan.serialize import rle_decode
 
 
 def shift_ref(mask: np.ndarray, dr: int, dc: int) -> np.ndarray:

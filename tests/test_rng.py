@@ -48,8 +48,8 @@ def test_state_roundtrip():
     r.next_u64()
     state = r.getstate()
     want = [r.next_u64() for _ in range(5)]
-    r.setstate(state)
-    assert [r.next_u64() for _ in range(5)] == want
+    rebuilt = Rng(state)
+    assert [rebuilt.next_u64() for _ in range(5)] == want
 
 
 def test_random_in_unit_interval():
@@ -82,14 +82,6 @@ def test_randrange_unbiased_small_n():
         counts[r.randrange(3)] += 1
     for c in counts:
         assert abs(c / n - 1 / 3) < 0.02
-
-
-def test_choice_uses_randrange():
-    r1 = Rng.substream(5, "c")
-    r2 = Rng.substream(5, "c")
-    seq = "abcdef"
-    assert [r1.choice(seq) for _ in range(10)] == \
-        [seq[r2.randrange(6)] for _ in range(10)]
 
 
 def test_normal_consumes_exactly_two_draws():

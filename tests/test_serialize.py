@@ -14,10 +14,11 @@ from tableplan.render import render_views
 from tableplan.rng import Rng
 from tableplan.serialize import (canonical_json, config_hash, fmt_float,
                                  graph_from_snapshot, graph_to_snapshot,
-                                 rle_decode, rle_encode)
+                                 rle_decode)
 from tableplan.world import Primitive, apply_primitive, init_world
 
-from scenes import full_mask, graph_and_drifted_tracks, scattered_scenes
+from scenes import (full_mask, graph_and_drifted_tracks, rle_encode,
+                    scattered_scenes)
 from test_dsl import PLANS
 
 

@@ -3,10 +3,11 @@ import math
 import pytest
 
 from oracles import bfs_min_acts
-from tableplan.config import SceneConfig
-from tableplan.world import (HELD_Z, LayoutInfeasible, MilestoneTracker,
-                             Primitive, UnknownObject, apply_primitive,
-                             circumradius, ground_truth_relations,
+from tableplan.config import TASKS, SceneConfig
+from tableplan.world import (HELD_Z, TASK_TABLE, LayoutInfeasible,
+                             MilestoneTracker, Primitive, UnknownObject,
+                             apply_primitive, circumradius,
+                             ground_truth_relations,
                              hidden_inside_opaque, init_world, regular_polygon,
                              task_oracle)
 
@@ -397,7 +398,13 @@ def test_tracker_ignores_rejected_primitives():
     tr = MilestoneTracker(w, "swap_cups", "black")
     res = tr.feed(put_in(2))  # gripper empty
     assert not res.ok
-    assert tr._first_picked_cup is None
+    assert tr.judge.first_pick is None
+
+
+def test_task_table_defines_every_config_task():
+    assert tuple(TASK_TABLE) == TASKS
+    with pytest.raises(ValueError):
+        MilestoneTracker(world_for("swap_cups", seed=0), "juggling")
 
 
 def test_custom_task_never_succeeds():
