@@ -312,58 +312,64 @@ def associate(dets_by_view: dict, thresholds: AssocThresholds,
 # -- relation induction --------------------------------------------------------
 
 
-def _in_single_view(a: Region, b: Region) -> bool:
-    if not a.area < b.area:
-        return False
-    # a's crop must meet b's padded hull box, or nothing is covered and
-    # b's hull need not be built
-    ar0, ar1, ac0, ac1 = a.box
-    br0, br1, bc0, bc1 = b.box
-    if not (ar0 < br1 + HULL_PAD and br0 - HULL_PAD < ar1
-            and ac0 < bc1 + HULL_PAD and bc0 - HULL_PAD < ac1):
-        return False
-    covered = a.overlap(b.hull, b.hull_origin)
-    return covered / a.area >= CONTAIN_COVERAGE
-
-
-def _on_single_view(a: Region, b: Region) -> bool:
-    # bottom band of A meeting the top band of B: shift A down one row and
-    # count contact with B's visible mask (masks are disjoint, so only the
-    # boundary row contributes)
-    if not a.centroid[1] < b.centroid[1]:
-        return False
-    ar0, ac0 = a.origin
-    contact = b.overlap(a.crop, (ar0 + 1, ac0))
-    return contact >= SUPPORT_CONTACT_PX
-
-
 def induce_relations(regions: dict, image_diag: dict) -> set:
     """Relations from per-view mask evidence.
 
     regions: node_id -> {view_id: Region}; image_diag: view_id -> float.
     in/on require agreement in every view where both nodes are grounded;
     near needs any single view.  Containment shadows support for a pair.
-    A region's hull (Region.hull) is built the first time a smaller node's
-    crop meets its padded box in that view, and the region keeps it; pairs
-    that fail the area order or the box test never build one.
+
+    in (a, b): a is smaller than b and at least CONTAIN_COVERAGE of a's
+    pixels lie on b's hull.  A region's hull (Region.hull) is built the
+    first time a smaller node's crop meets its padded box in that view, and
+    the region keeps it; pairs that fail the area order or the box test
+    never build one.  on (a, b): a's centroid is above b's and a, shifted
+    down one row, touches b on at least SUPPORT_CONTACT_PX pixels (masks are
+    disjoint, so only the boundary row contributes).  Each region's area,
+    box and centroid are read once per call.
     """
+    facts = {nid: {v: (r, r.area, r.box, r.centroid)
+                   for v, r in per_view.items()}
+             for nid, per_view in regions.items()}
     rels = set()
     ids = sorted(regions)
     for a in ids:
+        ea = facts[a]
         for b in ids:
             if a == b:
                 continue
-            ea, eb = regions[a], regions[b]
+            eb = facts[b]
             both = [v for v in ea if v in eb]
             if not both:
                 continue
-            if all(_in_single_view(ea[v], eb[v]) for v in both):
-                rels.add((a, b, "in"))
-            elif all(_on_single_view(ea[v], eb[v]) for v in both):
-                rels.add((a, b, "on"))
+            rel = "in"
+            for v in both:
+                ra, area_a, (ar0, ar1, ac0, ac1), _ = ea[v]
+                rb, area_b, (br0, br1, bc0, bc1), _ = eb[v]
+                # a's crop must meet b's padded hull box, or nothing is
+                # covered and b's hull need not be built
+                if not (area_a < area_b
+                        and ar0 < br1 + HULL_PAD and br0 - HULL_PAD < ar1
+                        and ac0 < bc1 + HULL_PAD and bc0 - HULL_PAD < ac1
+                        and ra.overlap(rb.hull, rb.hull_origin) / area_a
+                        >= CONTAIN_COVERAGE):
+                    rel = None
+                    break
+            if rel is None:
+                rel = "on"
+                for v in both:
+                    ra, _, _, ca = ea[v]
+                    rb, _, _, cb = eb[v]
+                    if not (ca[1] < cb[1] and rb.overlap(
+                            ra.crop, (ra.origin[0] + 1, ra.origin[1]))
+                            >= SUPPORT_CONTACT_PX):
+                        rel = None
+                        break
+            if rel is not None:
+                rels.add((a, b, rel))
             if a < b:
                 for v in both:
-                    ca, cb = ea[v].centroid, eb[v].centroid
+                    ca, cb = ea[v][3], eb[v][3]
                     if math.hypot(ca[0] - cb[0], ca[1] - cb[1]) / image_diag[v] \
                             < NEAR_FRACTION:
                         rels.add((a, b, "near"))
@@ -531,7 +537,7 @@ def update_graph(graph: SemanticGraph, raw_obs, task_spec: TaskSpec,
     for view_id in sorted(dets):
         leftovers[view_id] = []
         for det in dets[view_id]:
-            target = _merge_target(graph, det, view_id, tracked, merged,
+            target = _merge_target(nodes, det, view_id, tracked, merged,
                                    thresholds.tau_vis)
             if target is None:
                 leftovers[view_id].append(det)
@@ -560,22 +566,35 @@ def update_graph(graph: SemanticGraph, raw_obs, task_spec: TaskSpec,
     return graph
 
 
-def _merge_target(graph: SemanticGraph, det: Detection, view_id: str,
+def _merge_target(nodes: list, det: Detection, view_id: str,
                   tracked: dict, merged: set, tau_vis: float) -> Optional[int]:
+    """The node, of `nodes` in id order, a detection merges into: the one
+    whose tracked region in the view has the highest IoU with the
+    detection's, if that is >= 0.5, else the one nearest in feature if that
+    is < tau_vis, else None.  Ties keep the lowest node id, and a node that
+    already merged in the view is skipped.
+
+    A tracked region that *is* the detection's Region (the renderer and the
+    tracker both hand out the record's Region) has IoU 1.0 without
+    computing it.  No IoU exceeds 1.0, so the first node to reach it wins
+    and the scan stops there.
+    """
     best_iou, best_iou_node = 0.0, None
-    for node in graph.sorted_nodes():
+    for node in nodes:
         if (node.node_id, view_id) in merged:
             continue
         hit = tracked.get((node.node_id, view_id))
         if hit is None:
             continue
-        iou = det.region.iou(hit)
+        iou = 1.0 if hit is det.region else det.region.iou(hit)
         if iou > best_iou:
             best_iou, best_iou_node = iou, node.node_id
+            if iou == 1.0:
+                break
     if best_iou >= 0.5:
         return best_iou_node
     best_cos, best_cos_node = math.inf, None
-    for node in graph.sorted_nodes():
+    for node in nodes:
         if (node.node_id, view_id) in merged:
             continue
         d = cosine_distance(det.feature, node.feature)

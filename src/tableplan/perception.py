@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -26,21 +25,33 @@ FEATURE_DIM = 16
 from .world import ARM_CLASS, DISTRACTOR_CLASSES, task_entry
 
 
-@lru_cache(maxsize=8192)
-def base_feature(appearance_seed: int) -> np.ndarray:
-    """Unit vector on S^15 derived deterministically from the seed.
+def base_features(appearance_seeds: list) -> list:
+    """One unit vector on S^15 per appearance seed, all drawn in one
+    `normal_block` pass.
 
     Gaussian components via Box-Muller over SplitMix64 draws; identical
-    across views because it depends on nothing but the seed.  The returned
-    array is cached and marked read-only.
+    across views because each depends on nothing but its seed.  Each
+    returned array is new and marked read-only.
     """
-    v = normal_block([mix64(appearance_seed ^ 0xFEA70125)], FEATURE_DIM)[0]
-    norm = math.sqrt(float(np.dot(v, v)))
-    if norm == 0.0:  # pragma: no cover - measure-zero
-        v[0], norm = 1.0, 1.0
-    v = v / norm  # a new array: the cache keeps no view of the drawn block
-    v.setflags(write=False)
-    return v
+    if not appearance_seeds:
+        return []
+    block = normal_block([mix64(s ^ 0xFEA70125) for s in appearance_seeds],
+                         FEATURE_DIM)
+    out = []
+    for v in block:
+        # one np.dot per row: a batched reduction may sum in another order
+        norm = math.sqrt(float(np.dot(v, v)))
+        if norm == 0.0:  # pragma: no cover - measure-zero
+            v[0], norm = 1.0, 1.0
+        v = v / norm
+        v.setflags(write=False)
+        out.append(v)
+    return out
+
+
+def base_feature(appearance_seed: int) -> np.ndarray:
+    """The base feature of one appearance seed: `base_features([seed])[0]`."""
+    return base_features([appearance_seed])[0]
 
 
 def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:

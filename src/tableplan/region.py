@@ -16,7 +16,9 @@ once on construction; `hull` -- what containment is tested against -- and
 the RLE runs that snapshots store are each built on first access and kept
 for the region's life.  So every record, detection and grounding that
 shares the region shares its hull and runs, and so does every later round
-the renderer carries the region into unchanged.
+of the episode that the renderer carries the region into unchanged, or in
+which the object's mask recurs at the same pose (the renderer's memo
+returns the record, and so the Region, built the first time).
 
 The hull is built by `containment_hull` in plain numpy, bit-identical to
 scipy.ndimage's `binary_fill_holes` (4-connected) followed by

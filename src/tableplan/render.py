@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import CameraConfig
-from .perception import base_feature
+from .perception import base_features
 from .region import Region
 from .world import WorldState, hidden_inside_opaque
 
@@ -136,6 +136,32 @@ class _ViewState:
     records: dict  # object id -> ViewRecord, visible objects only
 
 
+def _repaint(label: np.ndarray, paints: list, dirty: list) -> set:
+    """Paint the part of each painted box inside each dirty box into
+    `label`, back to front, and return the ids of the objects painted.
+
+    `paints` holds (object id, mask, mask origin, frame-clipped box) back to
+    front, `dirty` the frame-clipped dirty boxes; boxes are half-open
+    (row0, row1, col0, col1).  An object whose box meets no dirty box is not
+    painted.
+    """
+    touched = set()
+    for oid, mask, (mr0, mc0), (pr0, pr1, pc0, pc1) in paints:
+        for dr0, dr1, dc0, dc1 in dirty:
+            # max and min by comparison: a call each costs more than the test
+            r0 = pr0 if pr0 > dr0 else dr0
+            r1 = pr1 if pr1 < dr1 else dr1
+            if r0 >= r1:
+                continue
+            c0 = pc0 if pc0 > dc0 else dc0
+            c1 = pc1 if pc1 < dc1 else dc1
+            if c0 < c1:
+                touched.add(oid)
+                sub = mask[r0 - mr0:r1 - mr0, c0 - mc0:c1 - mc0]
+                label[r0:r1, c0:c1][sub] = oid
+    return touched
+
+
 class Renderer:
     """Renders one episode's worlds into per-view label maps, carrying
     per-object state from each render to the next.
@@ -145,28 +171,35 @@ class Renderer:
     moved get re-rasterized; a render projects the footprints the cache
     lacks with one `to_px` call per camera and rasterizes them, for both
     cameras together, in one `rasterize_polygon` call (none when nothing
-    moved).  For each camera the renderer keeps the last label map and, for
-    each object painted into it, the object's raster key and frame-clipped
-    box.  An object whose entry differs from the last render's has changed:
-    it moved, changed z layer, was hidden inside an opaque container,
-    reappeared, or left the frame.  The old and new boxes of every changed
-    object are dirty.  The new label map is the last one with each dirty box
-    cleared and repainted back to front; a pixel outside every dirty box is
-    covered by the same objects, in the same order, as before, so it cannot
-    differ.
+    moved).  Each object's footprint vertex array and base feature are
+    built once per episode, the features of a render's new objects in one
+    `base_features` pass.  For each camera the renderer keeps the last
+    label map and, for each object painted into it, the object's raster key
+    and frame-clipped box.  An object whose entry differs from the last
+    render's has changed: it moved, changed z layer, was hidden inside an
+    opaque container, reappeared, or left the frame.  The old and new boxes
+    of every changed object are dirty.  The new label map is the last one
+    with each dirty box cleared and repainted back to front; a pixel outside
+    every dirty box is covered by the same objects, in the same order, as
+    before, so it cannot differ.
 
     An object's visible pixels all lie in the box it was painted into (later
     paints only overwrite), so an object whose box misses every dirty box --
     it did not change, since its own box would be dirty -- keeps the last
     render's ViewRecord whole: its Region, with hull and RLE runs, and its
     class, attributes and feature, which an object never changes.  Every
-    other visible object gets a Region computed from its box alone, never
+    other visible object's record is looked up in a memo keyed by its
+    raster key and the bytes of its box-local mask, so a mask the episode
+    has shown before (a cup lifted and put back, an occluder that moved off
+    and back) returns the record, Region, hull and RLE runs built the first
+    time; only a new mask gets a Region, computed from its box alone, never
     from a whole-frame pass.
 
     The first render is the same code starting from an empty frame with no
     painted objects, so every object is changed.  Label maps are read-only
     because the next render starts from them.  A Renderer serves one
-    episode: its caches assume that an object id keeps its footprint.
+    episode: its caches assume that an object id keeps its footprint and
+    appearance, and they are dropped with it.
     """
 
     def __init__(self, cameras, lift_m: float):
@@ -175,6 +208,10 @@ class Renderer:
         # raster key -> (mask, origin, footprint area, frame-clipped box or
         # None when the raster misses the frame)
         self._cache: dict = {}
+        self._footprints: dict = {}  # object id -> (N, 2) footprint vertices
+        self._features: dict = {}    # object id -> base feature
+        # (raster key, box-local mask bytes) -> ViewRecord
+        self._records: dict = {}
         self._views = {}
         for cam in self.cameras:
             w, h = cam.image_size
@@ -197,12 +234,16 @@ class Renderer:
                 continue
             missed.extend((key, cam.image_size) for _, key in misses)
             objs = [o for o, _ in misses]
-            sizes = [len(o.footprint) for o in objs]
-            verts = np.array([v for o in objs for v in o.footprint],
-                             dtype=np.float64)
+            for o in objs:
+                if o.id not in self._footprints:
+                    self._footprints[o.id] = np.array(o.footprint,
+                                                      dtype=np.float64)
+            footprints = [self._footprints[o.id] for o in objs]
+            sizes = [len(f) for f in footprints]
             lifted = np.array([(o.x, o.y - (o.z_layer - 1) * self.lift_m)
                                for o in objs])
-            world_pts = verts + np.repeat(lifted, sizes, axis=0)
+            world_pts = np.concatenate(footprints) + np.repeat(lifted, sizes,
+                                                               axis=0)
             px = np.stack(cam.to_px(world_pts[:, 0], world_pts[:, 1]), axis=1)
             end = np.cumsum(sizes).tolist()
             polygons.extend(px[b - n:b] for b, n in zip(end, sizes))
@@ -220,6 +261,10 @@ class Renderer:
         drawable = sorted(
             (o for o in world.objects if not hidden_inside_opaque(world, o)),
             key=lambda o: (o.z_layer, o.id))
+        new = [o for o in drawable if o.id not in self._features]
+        self._features.update(zip(
+            (o.id for o in new),
+            base_features([o.appearance_seed for o in new])))
         keys = self._rasterize_missing(drawable)
         views = {cam.view_id: self._render_view(world, drawable,
                                                 keys[cam.view_id], cam)
@@ -248,19 +293,8 @@ class Renderer:
         label = prev.label.copy()
         for r0, r1, c0, c1 in dirty:
             label[r0:r1, c0:c1] = 0
-        # the part of each painted box inside each dirty box, back to front;
         # an object whose box meets no dirty box keeps its last ViewRecord
-        boxes = np.array([p[3] for p in paints], dtype=np.int64).reshape(-1, 1, 4)
-        dirt = np.array(dirty, dtype=np.int64).reshape(1, -1, 4)
-        lo = np.maximum(boxes[..., 0::2], dirt[..., 0::2])
-        hi = np.minimum(boxes[..., 1::2], dirt[..., 1::2])
-        meets = (lo < hi).all(axis=2)
-        touched = {paints[i][0] for i in np.flatnonzero(meets.any(axis=1))}
-        for i, j in zip(*np.nonzero(meets)):
-            oid, mask, (mr0, mc0), _ = paints[i]
-            (r0, c0), (r1, c1) = lo[i, j].tolist(), hi[i, j].tolist()
-            sub = mask[r0 - mr0:r1 - mr0, c0 - mc0:c1 - mc0]
-            label[r0:r1, c0:c1][sub] = oid
+        touched = _repaint(label, paints, dirty)
         label.setflags(write=False)
 
         records = {}
@@ -273,18 +307,23 @@ class Renderer:
                     records[oid] = prev.records[oid]
                 continue
             key, (r0, r1, c0, c1) = painted[oid]
-            region = Region.from_sub(label[r0:r1, c0:c1] == oid, (r0, c0),
-                                     label.shape)
-            if region is None:
-                continue
-            footprint = self._cache[key][2]
-            records[oid] = ViewRecord(
-                object_id=oid, class_name=obj.class_name,
-                attributes=dict(obj.attributes),
-                base_feature=base_feature(obj.appearance_seed),
-                region=region,
-                visible_fraction=region.area / max(footprint, 1),
-            )
+            sub = label[r0:r1, c0:c1] == oid
+            # the box, and so the mask's shape, is a function of the key
+            memo_key = (key, sub.tobytes())
+            rec = self._records.get(memo_key)
+            if rec is None:
+                region = Region.from_sub(sub, (r0, c0), label.shape)
+                if region is None:
+                    continue
+                footprint = self._cache[key][2]
+                rec = self._records[memo_key] = ViewRecord(
+                    object_id=oid, class_name=obj.class_name,
+                    attributes=dict(obj.attributes),
+                    base_feature=self._features[oid],
+                    region=region,
+                    visible_fraction=region.area / max(footprint, 1),
+                )
+            records[oid] = rec
         self._views[cam.view_id] = _ViewState(label, painted, records)
         return ViewObservation(cam.view_id, cam.image_size, label, records)
 

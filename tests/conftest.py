@@ -1,7 +1,26 @@
 import sys
 from pathlib import Path
 
+import pytest
+
 # make `import oracles` work from any rootdir
 sys.path.insert(0, str(Path(__file__).parent))
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@pytest.fixture
+def hull_builds(monkeypatch):
+    """The shape of every hull built, in order."""
+    from tableplan import region as region_mod
+
+    builds = []
+    real = region_mod.containment_hull
+
+    def counting(crop):
+        hull = real(crop)
+        builds.append(hull.shape)
+        return hull
+
+    monkeypatch.setattr(region_mod, "containment_hull", counting)
+    return builds

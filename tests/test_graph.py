@@ -8,7 +8,8 @@ from scipy import ndimage
 
 from oracles import HAND_ANCHORS, HAND_POINT, HAND_SIGNATURE
 from scenes import (SEQUENCE_OBJECTS, full_frame_box, full_mask,
-                    graph_and_drifted_tracks, scattered_scenes)
+                    graph_and_drifted_tracks, scattered_scenes,
+                    workload_configs)
 from tableplan import harness
 from tableplan.config import (AssocThresholds, NoiseConfig, SceneConfig,
                               perfect_config)
@@ -22,8 +23,8 @@ from tableplan.graph import (CONTAIN_COVERAGE, NEAR_FRACTION,
                              distance_signature, induce_relations,
                              init_graph, node_by_source, signature_distance,
                              update_graph, Grounding)
-from tableplan.perception import (Detection, base_feature, make_task_spec,
-                                  segment)
+from tableplan.perception import (Detection, base_feature, cosine_distance,
+                                  make_task_spec, segment)
 from tableplan import region as region_mod
 from tableplan.region import CONTAIN_DILATE_PX, Region
 from tableplan.render import Renderer, render_views
@@ -355,19 +356,78 @@ def test_lazy_hulls_match_eager_reference():
     assert seen == {"in", "on", "near"}
 
 
-@pytest.fixture
-def hull_builds(monkeypatch):
-    """The shape of every hull built, in order."""
-    builds = []
-    real = region_mod.containment_hull
+def reference_in_single_view(a: Region, b: Region) -> bool:
+    if not a.area < b.area:
+        return False
+    ar0, ar1, ac0, ac1 = a.box
+    br0, br1, bc0, bc1 = b.box
+    if not (ar0 < br1 + HULL_PAD and br0 - HULL_PAD < ar1
+            and ac0 < bc1 + HULL_PAD and bc0 - HULL_PAD < ac1):
+        return False
+    covered = a.overlap(b.hull, b.hull_origin)
+    return covered / a.area >= CONTAIN_COVERAGE
 
-    def counting(crop):
-        hull = real(crop)
-        builds.append(hull.shape)
-        return hull
 
-    monkeypatch.setattr(region_mod, "containment_hull", counting)
-    return builds
+def reference_on_single_view(a: Region, b: Region) -> bool:
+    if not a.centroid[1] < b.centroid[1]:
+        return False
+    ar0, ac0 = a.origin
+    contact = b.overlap(a.crop, (ar0 + 1, ac0))
+    return contact >= SUPPORT_CONTACT_PX
+
+
+def reference_induce_relations(regions: dict, image_diag: dict) -> set:
+    """induce_relations as it was: one call per pair and view for each
+    rule, reading each region's facts in the call."""
+    rels = set()
+    ids = sorted(regions)
+    for a in ids:
+        for b in ids:
+            if a == b:
+                continue
+            ea, eb = regions[a], regions[b]
+            both = [v for v in ea if v in eb]
+            if not both:
+                continue
+            if all(reference_in_single_view(ea[v], eb[v]) for v in both):
+                rels.add((a, b, "in"))
+            elif all(reference_on_single_view(ea[v], eb[v]) for v in both):
+                rels.add((a, b, "on"))
+            if a < b:
+                for v in both:
+                    ca, cb = ea[v].centroid, eb[v].centroid
+                    if math.hypot(ca[0] - cb[0], ca[1] - cb[1]) / image_diag[v] \
+                            < NEAR_FRACTION:
+                        rels.add((a, b, "near"))
+                        break
+    return rels
+
+
+def test_induce_relations_matches_per_pair_reference(monkeypatch):
+    # every round of seeds 0-1 of the benchmark's scene configs, and the
+    # random scenes of the eager test
+    seen = {"in": 0, "on": 0, "near": 0, "rounds": 0}
+    real = graph_mod.induce_relations
+
+    def checked(regions, image_diag):
+        got = real(regions, image_diag)
+        assert got == reference_induce_relations(regions, image_diag)
+        seen["rounds"] += 1
+        for _, _, rel in got:
+            seen[rel] += 1
+        return got
+
+    monkeypatch.setattr(graph_mod, "induce_relations", checked)
+    for cfg in workload_configs():
+        for seed in (0, 1):
+            harness.run_episode(cfg, seed)
+    assert min(seen.values()) > 0, seen
+    rng = np.random.default_rng(20261019)
+    diag = {"a": 20.0, "b": 20.0}
+    for _ in range(100):
+        regions = {nid: {v: Region.from_full(m) for v, m in views.items()}
+                   for nid, views in random_scene(rng).items()}
+        assert real(regions, diag) == reference_induce_relations(regions, diag)
 
 
 def test_far_apart_masks_build_no_hull(hull_builds):
@@ -626,6 +686,87 @@ def test_update_merges_by_feature_after_tracker_loss():
                  Rng.substream(0, "perception"), steps_elapsed=1)
     assert set(g.nodes) == ids0  # re-detections landed on the old nodes
     assert all(n.last_seen_step == raw2.step for n in g.sorted_nodes())
+
+
+def reference_merge_target(nodes, det, view_id, tracked, merged, tau_vis):
+    """_merge_target as it was: Region.iou against every tracked node."""
+    best_iou, best_iou_node = 0.0, None
+    for node in nodes:
+        if (node.node_id, view_id) in merged:
+            continue
+        hit = tracked.get((node.node_id, view_id))
+        if hit is None:
+            continue
+        iou = det.region.iou(hit)
+        if iou > best_iou:
+            best_iou, best_iou_node = iou, node.node_id
+    if best_iou >= 0.5:
+        return best_iou_node
+    best_cos, best_cos_node = math.inf, None
+    for node in nodes:
+        if (node.node_id, view_id) in merged:
+            continue
+        d = cosine_distance(det.feature, node.feature)
+        if d < best_cos:
+            best_cos, best_cos_node = d, node.node_id
+    if best_cos < tau_vis:
+        return best_cos_node
+    return None
+
+
+def test_merge_target_matches_all_iou_reference(monkeypatch):
+    # every detection of every round of seeds 0-1 of the benchmark's scene
+    # configs merges into the node the all-IoU scan picks
+    outcomes = {"identity": 0, "iou": 0, "feature": 0, "leftover": 0}
+    real = graph_mod._merge_target
+
+    def checked(nodes, det, view_id, tracked, merged, tau_vis):
+        got = real(nodes, det, view_id, tracked, merged, tau_vis)
+        assert got == reference_merge_target(nodes, det, view_id, tracked,
+                                             merged, tau_vis)
+        hit = tracked.get((got, view_id))
+        if got is None:
+            outcomes["leftover"] += 1
+        elif hit is det.region:
+            outcomes["identity"] += 1
+        elif hit is not None and det.region.iou(hit) >= 0.5:
+            outcomes["iou"] += 1
+        else:
+            outcomes["feature"] += 1
+        return got
+
+    monkeypatch.setattr(graph_mod, "_merge_target", checked)
+    for cfg in workload_configs():
+        for seed in (0, 1):
+            harness.run_episode(cfg, seed)
+    assert min(outcomes.values()) > 0, outcomes
+
+
+def test_merge_target_ties_keep_the_lowest_node_id():
+    # two nodes tracked to the detection's own Region: both have IoU 1.0,
+    # and the lower id wins unless it already merged in the view
+    g = SemanticGraph()
+    det = fake_det("v", 7, base_feature(7))
+    for i in (1, 2, 3):
+        g.add_node("cube", {}, base_feature(i),
+                   {"v": Grounding(det.region, 7, 0)}, 0)
+    nodes = g.sorted_nodes()
+    tracked = {(2, "v"): det.region, (3, "v"): det.region}
+    for merged, want in ((set(), 2), ({(2, "v")}, 3),
+                         ({(2, "v"), (3, "v")}, None)):
+        args = (nodes, det, "v", tracked, merged, THRESH.tau_vis)
+        assert graph_mod._merge_target(*args) == want
+        assert reference_merge_target(*args) == want
+    # an equal but distinct Region ties by computed IoU the same way, and
+    # an IoU of 0.75 on a lower id loses to the identity on a higher one
+    wider = np.zeros((20, 20), dtype=bool)
+    wider[4:7, 4:8] = True
+    for first, want in ((fake_det("v", 7, base_feature(7)).region, 1),
+                        (Region.from_full(wider), 2)):
+        tracked = {(1, "v"): first, (2, "v"): det.region}
+        args = (nodes, det, "v", tracked, set(), THRESH.tau_vis)
+        assert graph_mod._merge_target(*args) == want
+        assert reference_merge_target(*args) == want
 
 
 def test_box_local_mask_work_matches_full_frame():

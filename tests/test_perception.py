@@ -8,9 +8,9 @@ import pytest
 from scenes import full_mask
 from tableplan.config import NoiseConfig, SceneConfig, default_noise_config
 from tableplan.perception import (FEATURE_DIM, Detection, TaskSpec,
-                                  base_feature, cosine_distance,
-                                  make_task_spec, perturbed_feature, segment,
-                                  track)
+                                  base_feature, base_features,
+                                  cosine_distance, make_task_spec,
+                                  perturbed_feature, segment, track)
 from tableplan.render import render_views
 from tableplan.rng import Rng
 from tableplan.world import (DISTRACTOR_CLASSES, LayoutInfeasible, Primitive,
@@ -32,10 +32,12 @@ def rendered(task="swap_cups", seed=0, **kw):
 def test_base_feature_deterministic_unit():
     a = base_feature(123456)
     b = base_feature(123456)
-    assert a is b  # cached
+    assert a.tobytes() == b.tobytes()
     assert a.shape == (FEATURE_DIM,)
     assert float(np.dot(a, a)) == pytest.approx(1.0)
     assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        a[0] = 0.0
     c = base_feature(123457)
     assert cosine_distance(a, c) > 1e-3
 
@@ -99,8 +101,15 @@ def base_feature_loop(appearance_seed):
 
 
 def test_base_feature_matches_per_coordinate_loop():
-    for seed in [0, 1, 2**31, 2**63 + 5] + list(range(1000, 1300)):
+    seeds = [0, 1, 2**31, 2**63 + 5] + list(range(1000, 1300))
+    for seed in seeds:
         assert base_feature(seed).tobytes() == base_feature_loop(seed).tobytes()
+    # one batched pass draws the same vectors
+    batch = base_features(seeds)
+    assert [v.tobytes() for v in batch] == \
+        [base_feature_loop(s).tobytes() for s in seeds]
+    assert not any(v.flags.writeable for v in batch)
+    assert base_features([]) == []
 
 
 def test_task_specs():
@@ -132,8 +141,9 @@ def test_segment_noise_free():
             assert np.array_equal(
                 mask, raw.views[view_id].label_map == d.source_id)
             assert d.region.area == int(mask.sum())
-            assert d.feature is base_feature(
-                world.get(d.source_id).appearance_seed)
+            assert d.feature is recs[d.source_id].base_feature
+            assert d.feature.tobytes() == base_feature(
+                world.get(d.source_id).appearance_seed).tobytes()
 
 
 def test_segment_draw_order_is_stable():

@@ -1,4 +1,8 @@
+import gc
 import math
+import tracemalloc
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from tableplan import render, world as world_mod
 from tableplan.config import (DEFAULT_CAMERAS, CameraConfig, SceneConfig,
                               perfect_config)
 from tableplan.harness import run_episode
+from tableplan.perception import base_feature
 from tableplan.prompting import raw_obs_passthrough
 from tableplan.render import Renderer, rasterize_polygon, render_views
 from tableplan.world import (Primitive, apply_primitive, hidden_inside_opaque,
@@ -339,7 +344,9 @@ def test_record_consistency():
             assert rec.region.centroid[0] == pytest.approx(cols.mean() + 0.5)
             assert rec.region.centroid[1] == pytest.approx(rows.mean() + 0.5)
             assert 0.0 < rec.visible_fraction <= 1.0
-            assert rec.base_feature.shape == (16,)
+            assert rec.base_feature.tobytes() == base_feature(
+                world.get(oid).appearance_seed).tobytes()
+            assert not rec.base_feature.flags.writeable
 
 
 def test_gripper_state_passthrough():
@@ -531,6 +538,132 @@ def test_incremental_render_matches_fresh_render():
                             and old.z_layer != obj.z_layer
             prev_world, prev_raw = world, raw
     assert min(seen.values()) > 0, seen
+
+
+def numpy_repaint(label, paints, dirty) -> set:
+    """render._repaint as it was: every painted box intersected with every
+    dirty box in numpy, then painted in the same order."""
+    boxes = np.array([p[3] for p in paints], dtype=np.int64).reshape(-1, 1, 4)
+    dirt = np.array(dirty, dtype=np.int64).reshape(1, -1, 4)
+    lo = np.maximum(boxes[..., 0::2], dirt[..., 0::2])
+    hi = np.minimum(boxes[..., 1::2], dirt[..., 1::2])
+    meets = (lo < hi).all(axis=2)
+    touched = {paints[i][0] for i in np.flatnonzero(meets.any(axis=1))}
+    for i, j in zip(*np.nonzero(meets)):
+        oid, mask, (mr0, mc0), _ = paints[i]
+        (r0, c0), (r1, c1) = lo[i, j].tolist(), hi[i, j].tolist()
+        sub = mask[r0 - mr0:r1 - mr0, c0 - mc0:c1 - mc0]
+        label[r0:r1, c0:c1][sub] = oid
+    return touched
+
+
+def test_int_repaint_matches_numpy_reference():
+    # random rasters, some reaching past the frame (their boxes clipped to
+    # it) or missing it (an empty box); dirty boxes that are random, empty,
+    # or share only an edge with a painted box, which half-open boxes do
+    # not count as meeting
+    rng = np.random.default_rng(20261019)
+    h, w = 30, 40
+    seen = {"touched": 0, "untouched": 0, "clipped": 0, "empty": 0,
+            "edge_only": 0}
+    for _ in range(500):
+        paints = []
+        for oid in range(1, int(rng.integers(1, 8)) + 1):
+            mh, mw = int(rng.integers(1, 15)), int(rng.integers(1, 15))
+            mr0, mc0 = int(rng.integers(-8, h + 2)), int(rng.integers(-8, w + 2))
+            box = (max(mr0, 0), max(min(mr0 + mh, h), max(mr0, 0)),
+                   max(mc0, 0), max(min(mc0 + mw, w), max(mc0, 0)))
+            seen["clipped"] += box != (mr0, mr0 + mh, mc0, mc0 + mw)
+            seen["empty"] += box[0] == box[1] or box[2] == box[3]
+            paints.append((oid, rng.random((mh, mw)) < 0.6, (mr0, mc0), box))
+        dirty = []
+        for _ in range(int(rng.integers(0, 6))):
+            r0, c0 = int(rng.integers(0, h)), int(rng.integers(0, w))
+            kind = rng.integers(3)
+            if kind == 0:
+                dirty.append((r0, r0, c0, int(rng.integers(c0, w + 1))))
+            elif kind == 1:
+                dirty.append((r0, int(rng.integers(r0 + 1, h + 1)),
+                              c0, int(rng.integers(c0 + 1, w + 1))))
+            else:
+                # flush against a painted box's bottom or right edge
+                pr0, pr1, pc0, pc1 = paints[int(rng.integers(len(paints)))][3]
+                if rng.random() < 0.5:
+                    dirty.append((pr1, pr1 + 3, pc0, pc1))
+                else:
+                    dirty.append((pr0, pr1, pc1, pc1 + 3))
+        start = rng.integers(0, 9, (h, w)).astype(np.int32)
+        got_label, want_label = start.copy(), start.copy()
+        got = render._repaint(got_label, paints, dirty)
+        want = numpy_repaint(want_label, paints, dirty)
+        assert got == want
+        assert np.array_equal(got_label, want_label)
+        seen["touched"] += len(got)
+        seen["untouched"] += len(paints) - len(got)
+        seen["edge_only"] += any(
+            d[0] == p[3][1] or d[2] == p[3][3] for d in dirty for p in paints)
+    assert min(seen.values()) > 0, seen
+
+
+def test_repeated_mask_returns_the_memoized_record(hull_builds):
+    # a cup lifted and put back: every object's mask recurs, so the render
+    # returns the first render's ViewRecords and Regions, and a hull built
+    # on the first is not built again
+    cfg, world = scene("swap_cups", seed=0, distractors=3)
+    r = Renderer(cfg.cameras, cfg.geometry["lift_m"])
+    cup = world.by_class("cup")[0]
+    first = r.render(world)
+    hulls = {v: view.records[cup.id].region.hull
+             for v, view in first.views.items()}
+    assert len(hull_builds) == len(hulls)
+    lifted, _ = apply_primitive(world, Primitive(kind="pick", target=cup.id))
+    moved = r.render(lifted)
+    back = r.render(world)
+    for v, view in back.views.items():
+        was = first.views[v].records
+        assert moved.views[v].records[cup.id] is not was[cup.id]
+        assert list(view.records) == list(was)
+        for oid, rec in view.records.items():
+            assert rec is was[oid] and rec.region is was[oid].region
+        assert view.records[cup.id].region.hull is hulls[v]
+    assert len(hull_builds) == len(hulls)
+    # a new Renderer starts with an empty memo
+    fresh = Renderer(cfg.cameras, cfg.geometry["lift_m"]).render(world)
+    for v, view in fresh.views.items():
+        for oid, rec in view.records.items():
+            assert rec is not first.views[v].records[oid]
+            assert rec.region is not first.views[v].records[oid].region
+
+
+def test_nothing_of_an_episode_outlives_its_renderer(monkeypatch):
+    # 40 raw_clutter episodes leave no Renderer alive, and the package
+    # itself holds on to no memory they allocated
+    renderers = weakref.WeakSet()
+    real_init = Renderer.__init__
+
+    def tracking_init(self, *args):
+        real_init(self, *args)
+        renderers.add(self)
+
+    monkeypatch.setattr(Renderer, "__init__", tracking_init)
+    cfg = perfect_config("swap_cups", distractors=8, vision="raw")
+    run_episode(cfg, 0)  # loads the plan and warms every lazy import
+    package = [tracemalloc.Filter(True, str(Path(render.__file__).parent
+                                            / "*"))]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot().filter_traces(package)
+        for seed in range(1, 41):
+            run_episode(cfg, seed)
+        gc.collect()
+        after = tracemalloc.take_snapshot().filter_traces(package)
+    finally:
+        tracemalloc.stop()
+    assert not renderers
+    grown = sum(d.size_diff for d in after.compare_to(before, "filename"))
+    # one leaked episode's renderer holds its label maps, well over this
+    assert grown < 16 * 1024, grown
 
 
 def test_label_map_is_read_only():
