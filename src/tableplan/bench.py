@@ -8,8 +8,7 @@ itself and nothing is paired wrongly.
 
 from __future__ import annotations
 
-from .config import (CUSTOM_CLASSES, AssocThresholds, NoiseConfig,
-                     SceneConfig)
+from .config import CUSTOM_CLASSES, NoiseConfig, SceneConfig
 from .graph import associate
 from .perception import make_task_spec, segment
 from .render import render_views
@@ -19,10 +18,10 @@ from .world import LayoutInfeasible, init_world
 _COLORS = ("red", "green", "blue", "black", "yellow", "purple", "orange", "white")
 
 
-def random_scene_config(seed: int, max_objects: int = 8) -> SceneConfig:
-    """2..max_objects objects of random class and color, sampler-placed."""
+def random_scene_config(seed: int) -> SceneConfig:
+    """2..8 objects of random class and color, sampler-placed."""
     rng = Rng.substream(seed, "assoc_bench")
-    n = 2 + rng.randrange(max_objects - 1)
+    n = 2 + rng.randrange(7)
     objs = []
     plates = 0
     for _ in range(n):
@@ -36,8 +35,7 @@ def random_scene_config(seed: int, max_objects: int = 8) -> SceneConfig:
     return SceneConfig(task="custom", custom_objects=tuple(objs))
 
 
-def association_trial(seed: int, sigma: float = 0.0,
-                      thresholds: AssocThresholds = AssocThresholds()) -> dict:
+def association_trial(seed: int, sigma: float = 0.0) -> dict:
     """Run one scene through segmentation + association; score vs identity.
 
     Returns None-free stats or raises LayoutInfeasible when the drawn scene
@@ -51,7 +49,7 @@ def association_trial(seed: int, sigma: float = 0.0,
     noise = NoiseConfig(feature_sigma=sigma)
     dets = segment(raw, noise, Rng.substream(seed, "perception"), spec)
     views = sorted(dets)
-    pairs, singles, _ = associate(dets, thresholds)
+    pairs, singles, _ = associate(dets, cfg.thresholds)
     in_both = ({d.source_id for d in dets[views[0]]}
                & {d.source_id for d in dets[views[1]]})
     got = {(a.source_id, b.source_id) for a, b in pairs}

@@ -54,7 +54,7 @@ def _cmd_run(args) -> int:
     flags = {"planner": args.planner, "vision": args.vision,
              "distractors": args.distractors}
     cfg = _base_config(args, **{k: v for k, v in flags.items() if v is not None})
-    program = load_program(args.plan) if args.plan else None
+    program = load_program(args.plan, cfg.variant) if args.plan else None
     result = run_episode(cfg, args.seed, log_path=args.log, program=program)
     f = result.footer
     milestones = ",".join(f["milestones"]) or "-"
@@ -171,7 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_scene_args(p):
         p.add_argument("--config", help="scene config JSON file")
         p.add_argument("--task", help="task name (alternative to --config)")
-        p.add_argument("--variant", help="task variant (swap_cups: black|blue)")
+        p.add_argument("--variant", help="task variant, filled in for each "
+                       "{variant} of the plan (swap_cups: black|blue)")
         p.add_argument("--noise", choices=("none", "default"),
                        help="override noise profile")
 

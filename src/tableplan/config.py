@@ -15,12 +15,13 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from types import MappingProxyType
 from typing import Any
 
-TASKS = ("pnp_twice", "place_and_stack", "swap_cups", "custom")
+from .world import ARM_CLASS, FOOTPRINTS, TASK_TABLE
+
+TASKS = tuple(TASK_TABLE)
 PLANNER_MODES = ("code", "markovian", "mock_vlm_graph", "mock_vlm_rgb")
 VISION_MODES = ("masked", "raw")
 # object classes a custom scene may place; the arm is always added
-CUSTOM_CLASSES = ("cube", "cup", "plate", "sponge", "marker", "bottle", "tape",
-                  "block")
+CUSTOM_CLASSES = tuple(c for c in FOOTPRINTS if c != ARM_CLASS)
 
 
 class ConfigError(Exception):
@@ -56,6 +57,18 @@ def _number(value, key: str) -> float:
 def _integer(value, key: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _list(value, key: str):
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key} must be a list, got {value!r}")
+    return value
+
+
+def _instance(value, cls, key: str):
+    if not isinstance(value, cls):
+        raise ConfigError(f"{key} must be {cls.__name__}, got {value!r}")
     return value
 
 
@@ -194,7 +207,7 @@ class SceneConfig:
     """One run's scene, checked when built (and by dataclasses.replace).
 
     `geometry` and each custom object are stored as read-only mappings, and
-    a custom object's position as a tuple.
+    `cameras`, `custom_objects` and a custom object's position as tuples.
     """
 
     task: str = "swap_cups"
@@ -221,8 +234,10 @@ class SceneConfig:
             raise ConfigError(f"unknown task {self.task!r}")
         if not isinstance(self.variant, str):
             raise ConfigError(f"variant must be a string, got {self.variant!r}")
-        if self.task == "swap_cups" and self.variant not in ("black", "blue"):
-            raise ConfigError(f"swap_cups variant must be black|blue, got {self.variant!r}")
+        variants = TASK_TABLE[self.task].variants
+        if variants is not None and self.variant not in variants:
+            raise ConfigError(f"{self.task} variant must be "
+                              f"{'|'.join(variants)}, got {self.variant!r}")
         if self.planner not in PLANNER_MODES:
             raise ConfigError(f"unknown planner mode {self.planner!r}")
         if self.vision not in VISION_MODES:
@@ -240,6 +255,13 @@ class SceneConfig:
             raise ConfigError("table_bounds must be positive")
         if _real(self.near_threshold_m, "near_threshold_m") <= 0:
             raise ConfigError("near_threshold_m must be > 0")
+        for name, cls in (("perception_noise", NoiseConfig),
+                          ("executor_error", GroundingErrorModel),
+                          ("thresholds", AssocThresholds)):
+            _instance(getattr(self, name), cls, name)
+        object.__setattr__(self, "cameras", tuple(
+            _instance(cam, CameraConfig, "camera")
+            for cam in _list(self.cameras, "cameras")))
         if not self.cameras:
             raise ConfigError("at least one camera required")
         ids = [c.view_id for c in self.cameras]
@@ -247,8 +269,8 @@ class SceneConfig:
             raise ConfigError("camera view_ids must be unique")
         if self.task == "custom" and not self.custom_objects:
             raise ConfigError("custom task needs custom_objects")
-        object.__setattr__(self, "custom_objects", tuple(
-            _frozen_custom_object(spec) for spec in self.custom_objects))
+        object.__setattr__(self, "custom_objects", tuple(map(
+            _frozen_custom_object, _list(self.custom_objects, "custom_objects"))))
         _numbers(self.table_bounds, "table_bounds", 2, _finite)
         _finite(self.near_threshold_m, "near_threshold_m")
         _finite(self.overlap_tolerance, "overlap_tolerance")
@@ -333,12 +355,6 @@ def read_text(path) -> str:
 
 # Parsing for from_dict: each builds the value its config field takes from
 # the JSON one; the config object itself checks it.
-
-def _list(value, key: str):
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{key} must be a list, got {value!r}")
-    return value
-
 
 def _known_keys(value: dict, known, where: str) -> None:
     unknown = set(value) - set(known)

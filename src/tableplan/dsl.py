@@ -25,6 +25,10 @@ Grammar (";" starts a line comment):
 
 The final action of every step must carry the guard (true); a step that is
 not yet satisfied always has an instruction to re-issue.
+
+load_program fills each `{variant}` of a plan file with the task variant
+before parsing, so one file serves every variant and no variable may be
+named `variant`.
 """
 
 from __future__ import annotations
@@ -248,9 +252,7 @@ class _Compiler:
                 raise ParseError("expected (bind ...) or (plan ...)", *_pos(b))
             if len(b[1]) != 3:
                 raise ArityError("bind takes a variable and a query", *_pos(b))
-            var = _expect_atom(b[1][1], "a variable name")
-            if var in self.all_vars:
-                raise ParseError(f"duplicate variable {var!r}", *_pos(b[1][1]))
+            var = self._new_var(b[1][1])
             query = self.query(b[1][2], scope)
             self.all_vars.add(var)
             scope.append(var)
@@ -290,9 +292,7 @@ class _Compiler:
             if len(sx[1]) < 4:
                 raise ArityError("for-each takes a variable, a query, and "
                                  "at least one step", *_pos(sx))
-            var = _expect_atom(sx[1][1], "a variable name")
-            if var in self.all_vars:
-                raise ParseError(f"duplicate variable {var!r}", *_pos(sx[1][1]))
+            var = self._new_var(sx[1][1])
             query = self.query(sx[1][2], scope)
             self.all_vars.add(var)
             inner = scope + [var]
@@ -345,6 +345,15 @@ class _Compiler:
             self._check_var(var, scope, f)
             focus.append(var)
         return Action(guard=guard, template=template, focus=tuple(focus))
+
+    def _new_var(self, sx) -> str:
+        """The name a bind or for-each introduces: not reserved, not taken."""
+        var = _expect_atom(sx, "a variable name")
+        if var == "variant":
+            raise ParseError("'variant' is reserved for the task variant", *_pos(sx))
+        if var in self.all_vars:
+            raise ParseError(f"duplicate variable {var!r}", *_pos(sx))
+        return var
 
     def _check_var(self, var: str, scope: list, sx, single=False) -> str:
         if var not in scope:
@@ -450,8 +459,9 @@ def parse_program(text: str) -> PlannerProgram:
     return _Compiler().program(_read_all(text))
 
 
-def load_program(path) -> PlannerProgram:
-    return parse_program(read_text(path))
+def load_program(path, variant: str = "black") -> PlannerProgram:
+    """Parse a plan file with each {variant} replaced by `variant`."""
+    return parse_program(read_text(path).replace("{variant}", variant))
 
 
 # -- interpreter ------------------------------------------------------------------

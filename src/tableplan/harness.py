@@ -19,7 +19,7 @@ from typing import Callable, Optional
 from . import __version__
 from .config import ConfigError, SceneConfig, read_text
 from .dsl import (PlanError, PlannerOutput, PlannerProgram, evaluate_policy,
-                  parse_program)
+                  load_program)
 from .executor import (ExecutorError, ground_targets, execute_chunk,
                        parse_subtask)
 from .graph import SemanticGraph, init_graph, update_graph
@@ -60,11 +60,10 @@ class EpisodeResult:
 @lru_cache(maxsize=None)
 def load_task_program(task: str, variant: str = "black") -> PlannerProgram:
     entry = TASK_TABLE.get(task)
-    name = entry and entry.variant_plans.get(variant, entry.plan)
-    if name is None:
+    if entry is None or entry.plan is None:
         raise ConfigError(f"no bundled plan for task {task!r}")
-    path = resources.files("tableplan") / "plans" / f"{name}.plan"
-    return parse_program(path.read_text(encoding="utf-8"))
+    return load_program(resources.files("tableplan") / "plans"
+                        / f"{entry.plan}.plan", variant)
 
 
 # -- mock VLM stand-ins -------------------------------------------------------

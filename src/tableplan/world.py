@@ -5,20 +5,23 @@ read directly; it is consumed only through rendered observations and the
 oracles defined here.  Primitives are deterministic; infeasible ones are
 rejected and leave the world unchanged.
 
-Each task of config.TASKS is defined once, as its TASK_TABLE entry: the
-instruction and relevant classes (read by perception.make_task_spec), the
-bundled plan of each variant (harness.load_task_program), the layout
-(init_world) and the judge (MilestoneTracker).
+Each task is defined once, as its TASK_TABLE entry: the instruction and
+relevant classes (read by perception.make_task_spec), the bundled plan
+(harness.load_task_program), the variants config accepts, the layout
+(init_world) and the judge (MilestoneTracker).  Config also reads its task
+names and custom object classes from TASK_TABLE and FOOTPRINTS.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
-from .config import SceneConfig
 from .rng import Rng
+
+if TYPE_CHECKING:
+    from .config import SceneConfig
 
 CONTAINER_CLASSES = ("cup", "plate")
 OPAQUE_CLASSES = ("cup",)  # contents of these render no pixels
@@ -41,10 +44,10 @@ class LayoutInfeasible(Exception):
     """Rejection sampling could not place an object within 1000 attempts."""
 
 
-def regular_polygon(radius: float, sides: int, phase: float = 0.0) -> tuple:
+def regular_polygon(radius: float, sides: int) -> tuple:
     pts = []
     for k in range(sides):
-        a = phase + 2.0 * math.pi * k / sides
+        a = 2.0 * math.pi * k / sides
         pts.append((radius * math.cos(a), radius * math.sin(a)))
     return tuple(pts)
 
@@ -345,26 +348,19 @@ class _Placer:
             f"no admissible position after 1000 attempts (radius {radius:.3f})")
 
 
-def _footprint_for(class_name: str, geom: dict) -> tuple:
-    if class_name == "plate":
-        return regular_polygon(geom["plate_radius"], 12)
-    if class_name == "cup":
-        return regular_polygon(geom["cup_radius"], 10)
-    if class_name == "cube":
-        return rectangle(geom["cube_side"], geom["cube_side"])
-    if class_name == ARM_CLASS:
-        return rectangle(*geom["arm_size"])
-    if class_name == "sponge":
-        return rectangle(0.08, 0.05)
-    if class_name == "marker":
-        return rectangle(0.10, 0.015)
-    if class_name == "bottle":
-        return regular_polygon(0.03, 8)
-    if class_name == "tape":
-        return regular_polygon(0.04, 8)
-    if class_name == "block":
-        return rectangle(0.04, 0.04)
-    raise ValueError(f"no footprint for class {class_name!r}")
+# class -> its footprint, given the geometry.  All but the arm are
+# config.CUSTOM_CLASSES, which bench.random_scene_config indexes: keep order.
+FOOTPRINTS = {
+    "cube": lambda g: rectangle(g["cube_side"], g["cube_side"]),
+    "cup": lambda g: regular_polygon(g["cup_radius"], 10),
+    "plate": lambda g: regular_polygon(g["plate_radius"], 12),
+    "sponge": lambda g: rectangle(0.08, 0.05),
+    "marker": lambda g: rectangle(0.10, 0.015),
+    "bottle": lambda g: regular_polygon(0.03, 8),
+    "tape": lambda g: regular_polygon(0.04, 8),
+    "block": lambda g: rectangle(0.04, 0.04),
+    ARM_CLASS: lambda g: rectangle(*g["arm_size"]),
+}
 
 
 class _Builder:
@@ -387,7 +383,7 @@ class _Builder:
         attrs = (("color", color),) if color else ()
         obj = SimObject(
             id=len(self.objects) + 1, class_name=class_name, attributes=attrs,
-            x=x, y=y, z_layer=z, footprint=_footprint_for(class_name, self.cfg.geometry),
+            x=x, y=y, z_layer=z, footprint=FOOTPRINTS[class_name](self.cfg.geometry),
             container_of=container_of, support_of=support_of,
             appearance_seed=self._appearance_seed(),
         )
@@ -395,13 +391,13 @@ class _Builder:
         return obj
 
     def add_placed(self, class_name, z=1, color=None, **sample_kw) -> SimObject:
-        radius = circumradius(_footprint_for(class_name, self.cfg.geometry))
+        radius = circumradius(FOOTPRINTS[class_name](self.cfg.geometry))
         x, y = self.placer.sample(radius, z=z, **sample_kw)
         return self.add(class_name, x, y, z=z, color=color)
 
     def add_arm(self) -> SimObject:
         ax, ay = self.cfg.geometry["arm_position"]
-        radius = circumradius(_footprint_for(ARM_CLASS, self.cfg.geometry))
+        radius = circumradius(FOOTPRINTS[ARM_CLASS](self.cfg.geometry))
         self.placer.record(ax, ay, 1, radius)
         return self.add(ARM_CLASS, ax, ay, z=1)
 
@@ -421,7 +417,7 @@ class _Builder:
 
 
 class Task:
-    """A TASK_TABLE entry: instruction, classes, plans, static `layout`.
+    """A TASK_TABLE entry: instruction, classes, plan, variants, `layout`.
 
     An instance judges one episode: roles (object ids) cast from the initial
     world, the first pick among the `watched` ids, and a success test.  The
@@ -431,7 +427,7 @@ class Task:
     instruction = ""    # formatted with the variant
     classes = None      # relevant classes; None: those of the custom objects
     plan = None         # bundled plan file stem; None: no bundled plan
-    variant_plans = {}  # variant -> plan stem, where it is not `plan`
+    variants = None     # accepted variants; None: any string
     milestone = None
     watched = ()
     first_pick = None
@@ -451,7 +447,7 @@ class PnpTwice(Task):
 
     @staticmethod
     def layout(b, cfg, rng):
-        cube_r = circumradius(_footprint_for("cube", cfg.geometry))
+        cube_r = circumradius(FOOTPRINTS["cube"](cfg.geometry))
         hold = [(cube_r, 2)]  # the cube renders at layer 2 over either plate
         p1 = b.add_placed("plate", extra=hold)
         p2 = b.add_placed("plate", extra=hold)
@@ -483,14 +479,14 @@ class PlaceAndStack(Task):
         left = (0.0, bw * 0.33)
         right = (bw * 0.67, bw)
         flip = rng.randrange(2) == 1
-        cup_r = circumradius(_footprint_for("cup", geom))
+        cup_r = circumradius(FOOTPRINTS["cup"](geom))
         hold = [(cup_r, 2)]  # one cup ends up stacked on the other
         cup_a = b.add_placed("cup", color="red",
                              x_range=right if flip else left, extra=hold)
         cup_b = b.add_placed("cup", color="green",
                              x_range=left if flip else right, extra=hold)
         near_cup = cup_a if rng.randrange(2) == 0 else cup_b
-        cube_r = circumradius(_footprint_for("cube", geom))
+        cube_r = circumradius(FOOTPRINTS["cube"](geom))
         r_lo = cube_r + geom["cup_radius"] + geom["min_gap_m"]
         r_hi = cfg.near_threshold_m - geom["near_margin_m"] - 0.002
         x, y = b.placer.sample(cube_r, z=1,
@@ -513,12 +509,12 @@ class SwapCups(Task):
                    "{variant} cup first")
     classes = frozenset({"cup", "plate"})
     plan = "swap_cups"
-    variant_plans = {"blue": "swap_cups_blue"}
+    variants = ("black", "blue")  # the plan's {variant}: the cup moved first
     milestone = (MILESTONE_STAGE_CUP, "first", "buffer")
 
     @staticmethod
     def layout(b, cfg, rng):
-        cup_r = circumradius(_footprint_for("cup", cfg.geometry))
+        cup_r = circumradius(FOOTPRINTS["cup"](cfg.geometry))
         hold = [(cup_r, 2)]  # every plate may hold a cup during the swap
         plates = [b.add_placed("plate", extra=hold) for _ in range(3)]
         empty_idx = rng.randrange(3)
@@ -556,7 +552,7 @@ class Custom(Task):
             color = spec.get("color")
             if "position" in spec:
                 x, y = spec["position"]
-                radius = circumradius(_footprint_for(cls, cfg.geometry))
+                radius = circumradius(FOOTPRINTS[cls](cfg.geometry))
                 if not b.placer.admit(x, y, 1, radius):
                     raise LayoutInfeasible(f"fixed position {x, y} inadmissible")
                 b.placer.record(x, y, 1, radius)
@@ -565,7 +561,7 @@ class Custom(Task):
                 b.add_placed(cls, color=color)
 
 
-# config.TASKS name -> its definition
+# task name -> its definition; config.TASKS is its keys
 TASK_TABLE = {"pnp_twice": PnpTwice, "place_and_stack": PlaceAndStack,
               "swap_cups": SwapCups, "custom": Custom}
 

@@ -31,11 +31,19 @@ def test_run_writes_log(tmp_path, capsys):
     assert json.loads(lines[-1])["kind"] == "footer"
 
 
-def test_run_plan_override(capsys):
+def test_run_plan_override(tmp_path, capsys):
     # black-first oracle scored against a blue-first policy: completes, fails
-    plan = str(PLANS / "swap_cups_blue.plan")
-    assert main(["run", "--task", "swap_cups", "--plan", plan]) == 0
+    blue_first = tmp_path / "blue_first.plan"
+    blue_first.write_text((PLANS / "swap_cups.plan").read_text()
+                          .replace("{variant}", "blue"))
+    assert main(["run", "--task", "swap_cups", "--plan",
+                 str(blue_first)]) == 0
     assert "success=False" in capsys.readouterr().out
+    # --plan fills the file's {variant} with the config's variant
+    plan = str(PLANS / "swap_cups.plan")
+    assert main(["run", "--task", "swap_cups", "--variant", "blue",
+                 "--plan", plan]) == 0
+    assert "success=True" in capsys.readouterr().out
 
 
 def test_run_noise_flags(capsys):

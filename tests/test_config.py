@@ -13,7 +13,7 @@ from tableplan.config import (CUSTOM_CLASSES, DEFAULT_CAMERAS,
                               NoiseConfig, SceneConfig, default_noise_config,
                               perfect_config)
 from tableplan.serialize import canonical_json, config_hash
-from tableplan.world import DISTRACTOR_CLASSES, _footprint_for, circumradius
+from tableplan.world import DISTRACTOR_CLASSES, FOOTPRINTS, circumradius
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -68,6 +68,12 @@ def test_near_rule_matches_overhead_camera():
     ("custom_objects", ({"class": "cube", "position": ("0.3", 0.3)},)),
     ("custom_objects", ("cube",)),
     ("variant", 5),
+    ("perception_noise", 5),
+    ("thresholds", {"tau_vis": 0.1}),
+    ("executor_error", None),
+    ("cameras", 5),
+    ("cameras", (5,)),
+    ("custom_objects", 5),
 ])
 def test_validate_rejects(field, value):
     with pytest.raises(ConfigError):
@@ -175,8 +181,11 @@ def test_custom_task_needs_objects():
 
 
 def test_custom_classes_have_footprints():
+    # bench.random_scene_config draws classes by index: the order is pinned
+    assert CUSTOM_CLASSES == ("cube", "cup", "plate", "sponge", "marker",
+                              "bottle", "tape", "block")
     for cls in CUSTOM_CLASSES:
-        assert circumradius(_footprint_for(cls, DEFAULT_GEOMETRY)) > 0
+        assert circumradius(FOOTPRINTS[cls](DEFAULT_GEOMETRY)) > 0
     assert set(DISTRACTOR_CLASSES) <= set(CUSTOM_CLASSES)
     with pytest.raises(ConfigError, match="unicorn"):
         SceneConfig(task="custom", custom_objects=({"class": "unicorn"},))

@@ -3,9 +3,10 @@
 Two episodes of every benchmark workload config -- the three perfect tasks,
 configs/swap_noisy.json, raw vision with 8 distractors, and the three
 place_and_stack planners at default noise (written to a log and replayed) --
-and of a custom-task layout (fixed and sampled objects plus distractors,
-planned by mock_vlm_rgb, which needs no plan file) are hashed the way the
-benchmark hashes them: the canonical JSON of each record with its
+of swap_cups's blue variant, perfect and at default noise (no workload runs
+it), and of a custom-task layout (fixed and sampled objects plus
+distractors, planned by mock_vlm_rgb, which needs no plan file) are hashed
+the way the benchmark hashes them: the canonical JSON of each record with its
 wall-clock fields dropped.  A change that alters what the loop computes
 changes a hash here; a refactor or a speed-up must not.
 """
@@ -27,6 +28,10 @@ CUSTOM_OBJECTS = ({"class": "cube", "color": "red", "position": (0.3, 0.3)},
 
 
 def _config(name: str) -> SceneConfig:
+    if name == "perfect_swap_cups_blue":
+        return perfect_config("swap_cups", variant="blue")
+    if name == "noisy_swap_cups_blue":
+        return default_noise_config("swap_cups", variant="blue")
     if name.startswith("perfect_"):
         return perfect_config(name[len("perfect_"):])
     if name == "swap_noisy":
@@ -67,6 +72,14 @@ PINNED = {
         "3895c586cb8171548e1dc7efdabede59eeb5f3d145647b06c56a205e7b050032",
     ("perfect_swap_cups", 2):
         "aef3a726340e4214cf69e12e3877776ed38711c473d10d9e1b1799229b4d0eca",
+    ("perfect_swap_cups_blue", 1):
+        "648b14a8c20ecfac594723e6f5396ee712639517ad4faaef3240d7f6a8b6229f",
+    ("perfect_swap_cups_blue", 2):
+        "ec32f9d6ba8a4d3b0d3dae63356df88ecf5042d8b122f5d765b5fd92d4d9c4ee",
+    ("noisy_swap_cups_blue", 1):
+        "18386c508d1f179feddbb2454a2af2bc4b35c3e8ed61cfeb0bf7984c73b76bf0",
+    ("noisy_swap_cups_blue", 2):
+        "7e255ed248b1d7a9cd9c29d41f4e139f512f367c8292b8ebcf59ff97f13827fc",
     ("swap_noisy", 1):
         "d154bcaa3819974357c64e65fa84cc47daa67f9fb7469c8e840b30699bbe7a04",
     ("swap_noisy", 2):

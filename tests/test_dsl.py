@@ -59,6 +59,12 @@ ERROR_CASES = [
      "(done missing) references an unknown step", 4, 19),
     (prog(goal="(and (true) (not (done missing)))"), ParseError,
      "(done missing) references an unknown step", 4, 36),
+    ('(policy p\n (bind variant (first (objects :class "cup")))\n (plan (step'
+     ' s (goal (true)) (when (true) (say "h") (focus variant)))))', ParseError,
+     "'variant' is reserved for the task variant", 2, 8),
+    ('(policy p\n (plan (for-each variant (objects :class "cup") (step s'
+     ' (goal (true)) (when (true) (say "h") (focus variant))))))', ParseError,
+     "'variant' is reserved for the task variant", 2, 18),
 ]
 
 
@@ -140,8 +146,8 @@ def test_corpus_programs_parse():
     assert pas.name == "place-and-stack"
     assert list(pas.step_index) == ["drop-cube", "stack-cups"]
 
-    for variant in ("", "_blue"):
-        swap = load_program(PLANS / f"swap_cups{variant}.plan")
+    for variant in ("black", "blue"):
+        swap = load_program(PLANS / "swap_cups.plan", variant)
         assert list(swap.step_index) == ["stage", "cross", "settle"]
         assert [v for v, _ in swap.bindings] == [
             "first_cup", "other_cup", "src", "dst", "buffer"]
@@ -239,7 +245,7 @@ def test_swap_episode_to_completion():
 
 def test_blue_variant_picks_blue_first():
     cfg, world, raw, g, spec = scene_graph("swap_cups", variant="blue")
-    program = load_program(PLANS / "swap_cups_blue.plan")
+    program = load_program(PLANS / "swap_cups.plan", "blue")
     out = evaluate_policy(program, g)
     assert out.subtask_instruction == "pick up the blue cup"
 

@@ -21,7 +21,12 @@ def test_load_task_program():
     assert load_task_program("pnp_twice").name == "pnp-twice"
     assert load_task_program("place_and_stack").name == "place-and-stack"
     assert load_task_program("swap_cups", "black").name == "swap-cups"
-    assert load_task_program("swap_cups", "blue").name == "swap-cups-blue"
+    # one plan file for both variants; the variant picks the first cup
+    blue = load_task_program("swap_cups", "blue")
+    assert blue.name == "swap-cups"
+    assert blue.bindings[0] == ("first_cup", ("first", (
+        "objects", (("class", "cup"), ("color", "blue")))))
+    assert blue != load_task_program("swap_cups", "black")
     with pytest.raises(ConfigError):
         load_task_program("custom")
     with pytest.raises(ConfigError):
@@ -29,13 +34,14 @@ def test_load_task_program():
 
 
 @pytest.mark.parametrize("task,variant,stem", [
-    ("swap_cups", "blue", "swap_cups_blue"),
+    ("swap_cups", "blue", "swap_cups"),
     ("swap_cups", "black", "swap_cups"),
     ("pnp_twice", "blue", "pnp_twice"),
 ])
 def test_load_task_program_reads_the_variant_plan_file(task, variant, stem):
     path = resources.files("tableplan") / "plans" / f"{stem}.plan"
-    want = parse_program(path.read_text(encoding="utf-8"))
+    text = path.read_text(encoding="utf-8")
+    want = parse_program(text.replace("{variant}", variant))
     assert load_task_program(task, variant) == want
 
 
