@@ -14,9 +14,8 @@ from pathlib import Path
 
 from . import __version__
 from .bench import run_assoc_bench
-from .config import (ConfigError, NoiseConfig, GroundingErrorModel,
-                     DEFAULT_EXECUTOR_ERROR, DEFAULT_NOISE, PLANNER_MODES,
-                     SceneConfig, VISION_MODES)
+from .config import (ConfigError, NOISE_PROFILES, PLANNER_MODES, SceneConfig,
+                     VISION_MODES)
 from .dsl import ParseError, load_program
 from .harness import (DivergenceAt, VersionMismatch, format_suite_table,
                       replay_log, run_episode, run_suite)
@@ -25,14 +24,6 @@ from .world import LayoutInfeasible
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGENCE = 3
-
-
-NOISE_PROFILES = {
-    "none": {"perception_noise": NoiseConfig(),
-             "executor_error": GroundingErrorModel()},
-    "default": {"perception_noise": DEFAULT_NOISE,
-                "executor_error": DEFAULT_EXECUTOR_ERROR},
-}
 
 
 def _base_config(args, **overrides) -> SceneConfig:
@@ -173,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--task", help="task name (alternative to --config)")
         p.add_argument("--variant", help="task variant, filled in for each "
                        "{variant} of the plan (swap_cups: black|blue)")
-        p.add_argument("--noise", choices=("none", "default"),
+        p.add_argument("--noise", choices=tuple(NOISE_PROFILES),
                        help="override noise profile")
 
     p = sub.add_parser("run", help="run one episode")
@@ -228,7 +219,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, VersionMismatch, ParseError, LayoutInfeasible,
-            FileNotFoundError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

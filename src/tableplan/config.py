@@ -201,6 +201,14 @@ DEFAULT_NOISE = NoiseConfig(
 )
 DEFAULT_EXECUTOR_ERROR = GroundingErrorModel(base_p=0.02, per_distractor_p=0.05, p_max=0.9)
 
+# noise profile name (the CLI's --noise) -> the config fields it sets
+NOISE_PROFILES = {
+    "none": {"perception_noise": NoiseConfig(),
+             "executor_error": GroundingErrorModel()},
+    "default": {"perception_noise": DEFAULT_NOISE,
+                "executor_error": DEFAULT_EXECUTOR_ERROR},
+}
+
 
 @dataclass(frozen=True)
 class SceneConfig:
@@ -250,10 +258,10 @@ class SceneConfig:
             raise ConfigError("chunk_horizon must be >= 2")
         if self.step_budget < 1:
             raise ConfigError("step_budget must be >= 1")
-        w, h = _numbers(self.table_bounds, "table_bounds", 2, _real)
+        w, h = _numbers(self.table_bounds, "table_bounds", 2, _finite)
         if w <= 0 or h <= 0:
             raise ConfigError("table_bounds must be positive")
-        if _real(self.near_threshold_m, "near_threshold_m") <= 0:
+        if _finite(self.near_threshold_m, "near_threshold_m") <= 0:
             raise ConfigError("near_threshold_m must be > 0")
         for name, cls in (("perception_noise", NoiseConfig),
                           ("executor_error", GroundingErrorModel),
@@ -271,8 +279,6 @@ class SceneConfig:
             raise ConfigError("custom task needs custom_objects")
         object.__setattr__(self, "custom_objects", tuple(map(
             _frozen_custom_object, _list(self.custom_objects, "custom_objects"))))
-        _numbers(self.table_bounds, "table_bounds", 2, _finite)
-        _finite(self.near_threshold_m, "near_threshold_m")
         _finite(self.overlap_tolerance, "overlap_tolerance")
         _magnitudes(self, "mock_latency_s")
         _probabilities(self, "mock_flake_p")
@@ -436,9 +442,4 @@ def perfect_config(task: str, **overrides) -> SceneConfig:
 
 def default_noise_config(task: str, **overrides) -> SceneConfig:
     """The standard degraded profile used by the ablation grids."""
-    kw: dict[str, Any] = {
-        "perception_noise": DEFAULT_NOISE,
-        "executor_error": DEFAULT_EXECUTOR_ERROR,
-    }
-    kw.update(overrides)
-    return SceneConfig(task=task, **kw)
+    return SceneConfig(task=task, **{**NOISE_PROFILES["default"], **overrides})

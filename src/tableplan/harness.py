@@ -28,7 +28,7 @@ from .prompting import clutter_free_obs, raw_obs_passthrough
 from .render import Renderer
 from .rng import Rng
 from .serialize import canonical_json, config_hash, graph_to_snapshot
-from .world import TASK_TABLE, MilestoneTracker, WorldState, init_world
+from .world import TASK_TABLE, MilestoneTracker, init_world
 
 
 class VersionMismatch(Exception):
@@ -66,7 +66,7 @@ def load_task_program(task: str, variant: str = "black") -> PlannerProgram:
                         / f"{entry.plan}.plan", variant)
 
 
-# -- mock VLM stand-ins -------------------------------------------------------
+# -- planners -----------------------------------------------------------------
 
 
 def _flake(out: PlannerOutput, graph: SemanticGraph, rng: Rng,
@@ -96,129 +96,20 @@ def _flake(out: PlannerOutput, graph: SemanticGraph, rng: Rng,
                          done=False, emitted_step=out.emitted_step)
 
 
-def _display(node) -> str:
-    return node.name.replace("_", " ")
-
-
-def _done_output() -> PlannerOutput:
-    return PlannerOutput(subtask_instruction="", relevant_objects=frozenset(),
-                         done=True, emitted_step=None)
-
-
-def _say(instruction: str, node_ids) -> PlannerOutput:
-    return PlannerOutput(subtask_instruction=instruction,
-                         relevant_objects=frozenset(node_ids), done=False,
-                         emitted_step="rgb")
-
-
 def rgb_choose(task: str, variant: str, g: SemanticGraph,
                rng: Rng) -> tuple:
-    """Stateless subtask chooser over a single-frame graph.
-
-    Stands in for a VLM prompted with the current image only: with no task
-    memory it treats every frame as the initial state and flips a coin at
-    any rest state that could equally be "finished".  Returns (output,
-    stack guess) where the guess is the simulator id of the cup it assumes
-    holds the cube (place_and_stack only).
-    """
-    held = g.held_node
-
-    def nodes(cls):
-        return [g.nodes[nid] for nid in g.objects_by(class_name=cls)]
-
-    if task == "pnp_twice":
-        cubes = nodes("cube")
-        if held is not None:
-            if cubes and held == cubes[0].node_id:
-                empties = [g.nodes[nid] for nid in g.empty_containers("plate")]
-                if empties:
-                    dst = empties[rng.randrange(len(empties))]
-                    return _say(f"put the {_display(cubes[0])} inside the "
-                                f"{_display(dst)}",
-                                (cubes[0].node_id, dst.node_id)), None
-            return _done_output(), None
-        if cubes:
-            parent = g.container_of(cubes[0].node_id)
-            if parent is not None and g.nodes[parent].class_name == "plate":
-                # rest state: indistinguishable from "already finished"
-                if rng.random() < 0.5:
-                    return _done_output(), None
-                return _say(f"pick up the {_display(cubes[0])}",
-                            (cubes[0].node_id,)), None
-        return _done_output(), None
-
-    if task == "place_and_stack":
-        cubes, cups = nodes("cube"), nodes("cup")
-        cup_ids = {c.node_id for c in cups}
-        stacked = any(rel == "on" and src in cup_ids and dst in cup_ids
-                      for (src, dst, rel) in g.edges)
-        if stacked:
-            return _done_output(), None
-        if held is not None:
-            if cubes and held == cubes[0].node_id and cups:
-                dst = cups[rng.randrange(len(cups))]
-                return _say(f"put the {_display(cubes[0])} inside the "
-                            f"{_display(dst)}",
-                            (cubes[0].node_id, dst.node_id)), None
-            if held in cup_ids:
-                rest = [c for c in cups if c.node_id != held]
-                if rest:
-                    return _say(f"stack the {_display(g.nodes[held])} on the "
-                                f"{_display(rest[0])}",
-                                (held, rest[0].node_id)), None
-            return _done_output(), None
-        if cubes:
-            return _say(f"pick up the {_display(cubes[0])}",
-                        (cubes[0].node_id,)), None
-        if len(cups) == 2:
-            # cube hidden in one of the cups; guess which and lift the other
-            guess = cups[rng.randrange(2)]
-            other = next(c for c in cups if c.node_id != guess.node_id)
-            return (_say(f"pick up the {_display(other)}", (other.node_id,)),
-                    guess.source_id)
-        return _done_output(), None
-
-    if task == "swap_cups":
-        cups = nodes("cup")
-        if held is not None:
-            if held in {c.node_id for c in cups}:
-                empties = [g.nodes[nid] for nid in g.empty_containers("plate")]
-                if empties:
-                    dst = empties[rng.randrange(len(empties))]
-                    return _say(f"put the {_display(g.nodes[held])} inside "
-                                f"the {_display(dst)}",
-                                (held, dst.node_id)), None
-            return _done_output(), None
-        firsts = [c for c in cups if c.attributes.get("color") == variant]
-        contained = [c for c in cups if g.container_of(c.node_id) is not None]
-        if len(cups) == 2 and len(contained) == 2 and firsts:
-            # rest state: cups sitting in plates looks exactly like "done"
-            if rng.random() < 0.5:
-                return _done_output(), None
-            return _say(f"pick up the {_display(firsts[0])}",
-                        (firsts[0].node_id,)), None
-        return _done_output(), None
-
-    return _done_output(), None
+    """The task's frame-only chooser (world.Task.frame_choice) over a
+    single-frame graph; returns (output, stack guess)."""
+    choice, guess = TASK_TABLE[task].frame_choice(variant, g, rng)
+    if choice is None:
+        return PlannerOutput("", frozenset(), True, None), guess
+    return PlannerOutput(choice[0], frozenset(choice[1]), False, "rgb"), guess
 
 
-# -- episode loop -------------------------------------------------------------
-
-
-def _actual_cube_container(world: WorldState) -> Optional[int]:
-    cubes = world.by_class("cube")
-    if not cubes:
-        return None
-    parent = cubes[0].container_of
-    if parent is not None and world.get(parent).class_name == "cup":
-        return parent
-    return None
-
-
-def _intended_stack_target(task: str, out: PlannerOutput,
+def _intended_stack_target(cfg: SceneConfig, out: PlannerOutput,
                            graph: SemanticGraph) -> Optional[int]:
-    """Simulator id of the stack destination named by a pas instruction."""
-    if task != "place_and_stack" or out.done:
+    """Simulator id of the stack destination named by a stack instruction."""
+    if TASK_TABLE[cfg.task].hidden is None or out.done:
         return None
     try:
         verb, names = parse_subtask(out.subtask_instruction)
@@ -230,6 +121,40 @@ def _intended_stack_target(task: str, out: PlannerOutput,
     if node_id is None:
         return None
     return graph.nodes[node_id].source_id
+
+
+def _code_choose(cfg, program, graph, rng) -> tuple:
+    t_plan = time.perf_counter_ns()
+    out = evaluate_policy(program, graph)
+    latency_ns = time.perf_counter_ns() - t_plan
+    return out, _intended_stack_target(cfg, out, graph), latency_ns
+
+
+def _mock_vlm_graph_choose(cfg, program, graph, rng) -> tuple:
+    out, decision_sid, _ = _code_choose(cfg, program, graph, rng)
+    return (_flake(out, graph, rng, cfg.mock_flake_p), decision_sid,
+            int(cfg.mock_latency_s * 1e9))
+
+
+def _mock_vlm_rgb_choose(cfg, program, graph, rng) -> tuple:
+    out, guess = rgb_choose(cfg.task, cfg.variant, graph, rng)
+    return out, guess, int(cfg.mock_latency_s * 1e9)
+
+
+# planner mode (keyed like config.PLANNER_MODES) -> (chooser, graph, runs
+# the task's PlannerProgram).  chooser(cfg, program, graph, rng) returns
+# (output, sim id of the cup it stacks on or guesses hides the `hidden`
+# object, latency ns).  graph: "persistent", "memoryless" (that graph, its
+# task memory wiped each round) or "frame" (this frame's graph alone).
+PLANNERS = {
+    "code": (_code_choose, "persistent", True),
+    "markovian": (_code_choose, "memoryless", True),
+    "mock_vlm_graph": (_mock_vlm_graph_choose, "persistent", True),
+    "mock_vlm_rgb": (_mock_vlm_rgb_choose, "frame", False),
+}
+
+
+# -- episode loop -------------------------------------------------------------
 
 
 def _primitive_dict(prim) -> dict:
@@ -255,7 +180,8 @@ def run_episode(cfg: SceneConfig, seed: int, log_path=None,
     exec_rng = Rng.substream(seed, "executor")
     mock_rng = Rng.substream(seed, "mock_vlm")
 
-    if program is None and cfg.planner != "mock_vlm_rgb":
+    choose, graph_kind, uses_plan = PLANNERS[cfg.planner]
+    if program is None and uses_plan:
         program = load_task_program(cfg.task, cfg.variant)
 
     config = cfg.to_dict()
@@ -264,7 +190,7 @@ def run_episode(cfg: SceneConfig, seed: int, log_path=None,
               "seed": seed, "task_instruction": task_spec.instruction}
     records = [header]
 
-    graph: Optional[SemanticGraph] = None
+    plan_graph: Optional[SemanticGraph] = None
     prev_step = None
     pending_feedback = None   # ("in"|"on", moved source id, dest source id)
     done_clean = False
@@ -280,40 +206,25 @@ def run_episode(cfg: SceneConfig, seed: int, log_path=None,
             budget_exhausted = True
             break
         raw = renderer.render(tracker.world)
-        if cfg.planner == "mock_vlm_rgb":
+        if graph_kind == "frame":
             plan_graph = init_graph(raw, task_spec, cfg.thresholds,
                                     cfg.perception_noise, mock_rng)
+        elif plan_graph is None:
+            plan_graph = init_graph(raw, task_spec, cfg.thresholds,
+                                    cfg.perception_noise, percep_rng)
         else:
-            if graph is None:
-                graph = init_graph(raw, task_spec, cfg.thresholds,
-                                   cfg.perception_noise, percep_rng)
-            else:
-                update_graph(graph, raw, task_spec, cfg.thresholds,
-                             cfg.perception_noise, percep_rng,
-                             steps_elapsed=raw.step - prev_step,
-                             action_feedback=pending_feedback)
-            pending_feedback = None
-            if cfg.planner == "markovian":
-                graph.task_memory = []
-            plan_graph = graph
+            update_graph(plan_graph, raw, task_spec, cfg.thresholds,
+                         cfg.perception_noise, percep_rng,
+                         steps_elapsed=raw.step - prev_step,
+                         action_feedback=pending_feedback)
+        pending_feedback = None
+        if graph_kind == "memoryless":
+            plan_graph.task_memory = []
         prev_step = raw.step
 
-        decision_sid = None
         try:
-            if cfg.planner in ("code", "markovian"):
-                t_plan = time.perf_counter_ns()
-                out = evaluate_policy(program, plan_graph)
-                latency_ns = time.perf_counter_ns() - t_plan
-                decision_sid = _intended_stack_target(cfg.task, out, plan_graph)
-            elif cfg.planner == "mock_vlm_graph":
-                out = evaluate_policy(program, plan_graph)
-                decision_sid = _intended_stack_target(cfg.task, out, plan_graph)
-                out = _flake(out, plan_graph, mock_rng, cfg.mock_flake_p)
-                latency_ns = int(cfg.mock_latency_s * 1e9)
-            else:
-                out, decision_sid = rgb_choose(cfg.task, cfg.variant,
-                                               plan_graph, mock_rng)
-                latency_ns = int(cfg.mock_latency_s * 1e9)
+            out, decision_sid, latency_ns = choose(cfg, program, plan_graph,
+                                                   mock_rng)
         except PlanError as exc:
             planner_error = f"{type(exc).__name__}: {exc}"
             break
@@ -335,7 +246,7 @@ def run_episode(cfg: SceneConfig, seed: int, log_path=None,
             break
 
         if stack_decision is None and decision_sid is not None:
-            actual = _actual_cube_container(tracker.world)
+            actual = tracker.judge.hidden_in(tracker.world)
             if actual is not None:
                 stack_decision = {"chosen": decision_sid, "actual": actual,
                                   "correct": decision_sid == actual}

@@ -8,8 +8,10 @@ rejected and leave the world unchanged.
 Each task is defined once, as its TASK_TABLE entry: the instruction and
 relevant classes (read by perception.make_task_spec), the bundled plan
 (harness.load_task_program), the variants config accepts, the layout
-(init_world) and the judge (MilestoneTracker).  Config also reads its task
-names and custom object classes from TASK_TABLE and FOOTPRINTS.
+(init_world), the judge (MilestoneTracker), the frame-only chooser
+(harness.rgb_choose) and the object a cup may hide (the stack decision).
+Config also reads its task names and custom object classes from TASK_TABLE
+and FOOTPRINTS.
 """
 
 from __future__ import annotations
@@ -417,7 +419,8 @@ class _Builder:
 
 
 class Task:
-    """A TASK_TABLE entry: instruction, classes, plan, variants, `layout`.
+    """A TASK_TABLE entry: instruction, classes, plan, variants, hidden,
+    `layout`, `frame_choice`.
 
     An instance judges one episode: roles (object ids) cast from the initial
     world, the first pick among the `watched` ids, and a success test.  The
@@ -428,6 +431,7 @@ class Task:
     classes = None      # relevant classes; None: those of the custom objects
     plan = None         # bundled plan file stem; None: no bundled plan
     variants = None     # accepted variants; None: any string
+    hidden = None       # class of the object a cup may hide; None: none
     milestone = None
     watched = ()
     first_pick = None
@@ -437,6 +441,41 @@ class Task:
 
     def success(self, world: WorldState, milestones: list) -> bool:
         return False
+
+    def hidden_in(self, world: WorldState) -> Optional[int]:
+        """Id of the cup the `hidden` object sits in, or None."""
+        for obj in world.by_class(self.hidden):
+            parent = obj.container_of
+            if parent is not None and world.get(parent).class_name == "cup":
+                return parent
+        return None
+
+    @staticmethod
+    def frame_choice(variant: str, g, rng: Rng) -> tuple:
+        """The next subtask read off one frame's graph `g`: a VLM prompted
+        with the current image only, which takes every frame for the initial
+        state and flips a coin at any rest state that could be "finished".
+        Returns ((instruction, node ids) or None for done, the sim id of the
+        cup it guesses hides the `hidden` object or None)."""
+        return None, None
+
+
+def _objects(g, class_name: str) -> list:
+    return [g.nodes[nid] for nid in g.objects_by(class_name=class_name)]
+
+
+def _say(template: str, *nodes) -> tuple:
+    """(instruction, node ids): the template's {}s filled with node names."""
+    return (template.format(*(n.name.replace("_", " ") for n in nodes)),
+            tuple(n.node_id for n in nodes))
+
+
+def _into_empty_plate(g, node, rng: Rng) -> Optional[tuple]:
+    empties = [g.nodes[nid] for nid in g.empty_containers("plate")]
+    if not empties:
+        return None
+    return _say("put the {} inside the {}", node,
+                empties[rng.randrange(len(empties))])
 
 
 class PnpTwice(Task):
@@ -464,12 +503,28 @@ class PnpTwice(Task):
         return (MILESTONE_PNP_ONCE in milestones
                 and world.get(self.cube).container_of == self.start)
 
+    @staticmethod
+    def frame_choice(variant, g, rng):
+        cubes = _objects(g, "cube")
+        if g.held_node is not None:
+            if cubes and g.held_node == cubes[0].node_id:
+                return _into_empty_plate(g, cubes[0], rng), None
+            return None, None
+        if cubes:
+            parent = g.container_of(cubes[0].node_id)
+            if parent is not None and g.nodes[parent].class_name == "plate":
+                # rest state: indistinguishable from "already finished"
+                return (None if rng.random() < 0.5
+                        else _say("pick up the {}", cubes[0])), None
+        return None, None
+
 
 class PlaceAndStack(Task):
     instruction = ("drop the cube into the nearest cup, then stack the "
                    "other cup on top")
     classes = frozenset({"cube", "cup"})
     plan = "place_and_stack"
+    hidden = "cube"
     milestone = (MILESTONE_DROP_CUBE, "cube", "near")
 
     @staticmethod
@@ -502,6 +557,33 @@ class PlaceAndStack(Task):
     def success(self, world, milestones):
         return (world.get(self.cube).container_of == self.near
                 and world.get(self.other).support_of == self.near)
+
+    @staticmethod
+    def frame_choice(variant, g, rng):
+        held = g.held_node
+        cubes, cups = _objects(g, "cube"), _objects(g, "cup")
+        cup_ids = {c.node_id for c in cups}
+        if any(rel == "on" and src in cup_ids and dst in cup_ids
+               for (src, dst, rel) in g.edges):
+            return None, None
+        if held is not None:
+            if cubes and held == cubes[0].node_id and cups:
+                dst = cups[rng.randrange(len(cups))]
+                return _say("put the {} inside the {}", cubes[0], dst), None
+            if held in cup_ids:
+                rest = [c for c in cups if c.node_id != held]
+                if rest:
+                    return _say("stack the {} on the {}", g.nodes[held],
+                                rest[0]), None
+            return None, None
+        if cubes:
+            return _say("pick up the {}", cubes[0]), None
+        if len(cups) == 2:
+            # cube hidden in one of the cups; guess which and lift the other
+            guess = cups[rng.randrange(2)]
+            other = next(c for c in cups if c.node_id != guess.node_id)
+            return _say("pick up the {}", other), guess.source_id
+        return None, None
 
 
 class SwapCups(Task):
@@ -540,6 +622,21 @@ class SwapCups(Task):
         return (world.get(self.first).container_of == self.second_src
                 and world.get(self.second).container_of == self.first_src
                 and self.first_pick == self.first)
+
+    @staticmethod
+    def frame_choice(variant, g, rng):
+        held, cups = g.held_node, _objects(g, "cup")
+        if held is not None:
+            if held in {c.node_id for c in cups}:
+                return _into_empty_plate(g, g.nodes[held], rng), None
+            return None, None
+        firsts = [c for c in cups if c.attributes.get("color") == variant]
+        contained = [c for c in cups if g.container_of(c.node_id) is not None]
+        if len(cups) == 2 and len(contained) == 2 and firsts:
+            # rest state: cups sitting in plates looks exactly like "done"
+            return (None if rng.random() < 0.5
+                    else _say("pick up the {}", firsts[0])), None
+        return None, None
 
 
 class Custom(Task):

@@ -14,6 +14,9 @@ import json
 import sys
 from pathlib import Path
 
+# import the package from src/, installed or not
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
+
 from tableplan.config import default_noise_config, perfect_config
 from tableplan.harness import run_episode
 from tableplan.serialize import canonical_json

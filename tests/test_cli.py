@@ -133,6 +133,19 @@ def test_replay_missing_file(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--config"],
+    ["run", "--task", "pnp_twice", "--plan"],
+    ["validate-plan"],
+    ["replay"],
+], ids=["run_config", "run_plan", "validate_plan", "replay"])
+def test_directory_for_a_file_is_a_config_error(tmp_path, capsys, argv):
+    assert main(argv + [str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 @pytest.fixture(scope="module")
 def good_log_lines(tmp_path_factory):
     log = tmp_path_factory.mktemp("log") / "ep.jsonl"

@@ -80,6 +80,24 @@ def test_validate_rejects(field, value):
         SceneConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("table_bounds", (0.0, 1.0), "table_bounds must be positive"),
+    ("table_bounds", (1.0, math.inf), "table_bounds must be finite, got inf"),
+    ("table_bounds", (math.nan, 1.0), "table_bounds must be finite, got nan"),
+    ("table_bounds", ("1.0", 0.75), "table_bounds must be a number, got '1.0'"),
+    ("table_bounds", (1.0,), "table_bounds must be a list of 2 numbers"),
+    ("near_threshold_m", 0.0, "near_threshold_m must be > 0"),
+    ("near_threshold_m", -0.1, "near_threshold_m must be > 0"),
+    ("near_threshold_m", math.nan, "near_threshold_m must be finite, got nan"),
+    ("near_threshold_m", math.inf, "near_threshold_m must be finite, got inf"),
+    ("near_threshold_m", "0.15", "near_threshold_m must be a number, got '0.15'"),
+])
+def test_scene_float_messages(field, value, message):
+    with pytest.raises(ConfigError) as exc:
+        SceneConfig(**{field: value})
+    assert str(exc.value).startswith(message)
+
+
 def test_replace_checks_the_new_config():
     cfg = SceneConfig()
     with pytest.raises(ConfigError, match="unknown planner mode 'llm'"):

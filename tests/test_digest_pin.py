@@ -4,8 +4,10 @@ Two episodes of every benchmark workload config -- the three perfect tasks,
 configs/swap_noisy.json, raw vision with 8 distractors, and the three
 place_and_stack planners at default noise (written to a log and replayed) --
 of swap_cups's blue variant, perfect and at default noise (no workload runs
-it), and of a custom-task layout (fixed and sampled objects plus
-distractors, planned by mock_vlm_rgb, which needs no plan file) are hashed
+it), of a custom-task layout (fixed and sampled objects plus distractors,
+planned by mock_vlm_rgb, which needs no plan file), of markovian on perfect
+pnp_twice (no workload runs it), and of mock_vlm_rgb's frame-only choosers
+on perfect pnp_twice and on perfect swap_cups, black and blue, are hashed
 the way the benchmark hashes them: the canonical JSON of each record with its
 wall-clock fields dropped.  A change that alters what the loop computes
 changes a hash here; a refactor or a speed-up must not.
@@ -30,6 +32,13 @@ CUSTOM_OBJECTS = ({"class": "cube", "color": "red", "position": (0.3, 0.3)},
 def _config(name: str) -> SceneConfig:
     if name == "perfect_swap_cups_blue":
         return perfect_config("swap_cups", variant="blue")
+    if name == "markovian_pnp_twice":
+        return perfect_config("pnp_twice", planner="markovian")
+    if name == "rgb_swap_cups_blue":
+        return perfect_config("swap_cups", variant="blue",
+                              planner="mock_vlm_rgb")
+    if name.startswith("rgb_"):
+        return perfect_config(name[len("rgb_"):], planner="mock_vlm_rgb")
     if name == "noisy_swap_cups_blue":
         return default_noise_config("swap_cups", variant="blue")
     if name.startswith("perfect_"):
@@ -88,6 +97,22 @@ PINNED = {
         "84ec20d2e1827bfc79c08c780111fdbc41a52d6f521f2a4e6537e7102dce55e0",
     ("raw_clutter", 2):
         "59ef35d7356c459dc5bb7aaee099b06ad5462e8293926f7ce9f0832c1e5dc8f5",
+    ("markovian_pnp_twice", 1):
+        "4b86ccff3cfbcae40ad5aee7c77edea53017ccf7b74eebf8009f4c041957a792",
+    ("markovian_pnp_twice", 2):
+        "afa875fbb9413a79f8e4963096bd23d4d9786b03167955acaccfd69b9dcb4935",
+    ("rgb_pnp_twice", 1):
+        "c9c215d95341ed55d207d46026478a0a54a1e78a076a596789e3875d98648d6d",
+    ("rgb_pnp_twice", 2):
+        "0296199fed3423f678d819700e4cc316dc443bd9d5fed87c03f54b96cd07f428",
+    ("rgb_swap_cups", 1):
+        "7f603692de8f912311bea40dd4864b2c89b46bb9127f7681f5d468df8dbf568a",
+    ("rgb_swap_cups", 2):
+        "b256850288f70f9e981559783ef5f55d3699b4ea11985c4789715dc005fb7624",
+    ("rgb_swap_cups_blue", 1):
+        "9add736c1e401e6e5354e1f2592c2f041f81ab56bc8cfe364eb6c2106eeda9b6",
+    ("rgb_swap_cups_blue", 2):
+        "712b9163574741fa2a302c1d5260d1cba14d135afce196820a5ac453697de3db",
     ("replay_code", 1):
         "4b9c6f281cf461c10ce7bc5c7a0bebca3a8847cad4348141d8c6ea6ab7aa021b",
     ("replay_code", 2):

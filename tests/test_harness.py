@@ -4,11 +4,12 @@ from importlib import resources
 import pytest
 
 from tableplan import __version__
-from tableplan.config import ConfigError, default_noise_config, perfect_config
+from tableplan.config import (PLANNER_MODES, ConfigError, default_noise_config,
+                              perfect_config)
 from tableplan.dsl import evaluate_policy, parse_program
 from tableplan.graph import init_graph
-from tableplan.harness import (DivergenceAt, VersionMismatch, _flake,
-                               format_suite_table, load_log,
+from tableplan.harness import (PLANNERS, DivergenceAt, VersionMismatch,
+                               _flake, format_suite_table, load_log,
                                load_task_program, replay_log, run_episode,
                                run_suite, summarize_cell)
 from tableplan.perception import make_task_spec
@@ -106,6 +107,10 @@ def test_record_schema():
     assert footer["sim_steps"] > 0
     assert footer["stack_decision"] is None
     assert footer["wall_time_s"] > 0
+
+
+def test_planner_table_holds_every_mode():
+    assert tuple(PLANNERS) == PLANNER_MODES
 
 
 def test_budget_exhaustion():
