@@ -2,7 +2,7 @@
 persistent semantic scene graph, s-expression task planner, and a scripted
 language-conditioned executor, wired together by an episode harness."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .config import SceneConfig, perfect_config, default_noise_config
 from .dsl import PlannerOutput, evaluate_policy, load_program, parse_program

@@ -223,7 +223,6 @@ class SceneConfig:
     distractors: int = 0
     table_bounds: tuple[float, float] = (1.0, 0.75)
     near_threshold_m: float = 0.15
-    overlap_tolerance: float = 0.0  # extra allowed circle overlap (m); 0 = none
     cameras: tuple[CameraConfig, ...] = DEFAULT_CAMERAS
     perception_noise: NoiseConfig = field(default_factory=NoiseConfig)
     executor_error: GroundingErrorModel = field(default_factory=GroundingErrorModel)
@@ -231,7 +230,6 @@ class SceneConfig:
     geometry: Mapping = field(default_factory=lambda: dict(DEFAULT_GEOMETRY))
     planner: str = "code"
     vision: str = "masked"
-    chunk_horizon: int = 10
     step_budget: int = 200
     mock_latency_s: float = 3.0
     mock_flake_p: float = 0.08
@@ -250,12 +248,10 @@ class SceneConfig:
             raise ConfigError(f"unknown planner mode {self.planner!r}")
         if self.vision not in VISION_MODES:
             raise ConfigError(f"unknown vision mode {self.vision!r}")
-        for name in ("distractors", "chunk_horizon", "step_budget"):
+        for name in ("distractors", "step_budget"):
             _integer(getattr(self, name), name)
         if self.distractors < 0:
             raise ConfigError("distractors must be >= 0")
-        if self.chunk_horizon < 2:
-            raise ConfigError("chunk_horizon must be >= 2")
         if self.step_budget < 1:
             raise ConfigError("step_budget must be >= 1")
         w, h = _numbers(self.table_bounds, "table_bounds", 2, _finite)
@@ -279,7 +275,6 @@ class SceneConfig:
             raise ConfigError("custom task needs custom_objects")
         object.__setattr__(self, "custom_objects", tuple(map(
             _frozen_custom_object, _list(self.custom_objects, "custom_objects"))))
-        _finite(self.overlap_tolerance, "overlap_tolerance")
         _magnitudes(self, "mock_latency_s")
         _probabilities(self, "mock_flake_p")
         # stored merged with the defaults, as from_dict reads it
@@ -324,8 +319,8 @@ class SceneConfig:
                 kw[key] = _sub(AssocThresholds, value, key)
             elif key == "table_bounds":
                 kw[key] = _numbers(value, key, 2)
-            elif key in ("near_threshold_m", "overlap_tolerance",
-                         "mock_latency_s", "mock_flake_p"):
+            elif key in ("near_threshold_m", "mock_latency_s",
+                         "mock_flake_p"):
                 kw[key] = _number(value, key)
             elif key == "geometry":
                 kw[key] = _geometry(value)

@@ -124,7 +124,7 @@ def ground_targets(graph: SemanticGraph, obs: MaskedObservation, rng: Rng,
 
 @dataclass(frozen=True)
 class ActionChunk:
-    primitives: tuple   # primitives actually executed (<= horizon)
+    primitives: tuple   # primitives actually executed
     results: tuple      # PrimitiveResult for each, rejection stops the chunk
     outcome: str        # "completed" | "rejected" | "mis_grounded"
 
@@ -140,12 +140,12 @@ def chunk_primitives(verb: str, targets: dict) -> list:
             Primitive(kind=verb, target=tid)]
 
 
-def execute_chunk(tracker, grounded: GroundedSubtask, horizon: int) -> ActionChunk:
+def execute_chunk(tracker, grounded: GroundedSubtask) -> ActionChunk:
     """Feed the chunk's primitives to a tracker/world, stopping on rejection.
 
     `tracker` is anything with feed(Primitive) -> PrimitiveResult.
     """
-    plan = chunk_primitives(grounded.verb, grounded.targets)[:horizon]
+    plan = chunk_primitives(grounded.verb, grounded.targets)
     executed = []
     results = []
     rejected = False

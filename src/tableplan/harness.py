@@ -158,9 +158,7 @@ PLANNERS = {
 
 
 def _primitive_dict(prim) -> dict:
-    return {"kind": prim.kind, "target": prim.target,
-            "position": list(prim.position) if prim.position else None,
-            "duration_steps": prim.duration_steps}
+    return {"kind": prim.kind, "target": prim.target}
 
 
 def run_episode(cfg: SceneConfig, seed: int, log_path=None,
@@ -271,7 +269,7 @@ def run_episode(cfg: SceneConfig, seed: int, log_path=None,
             break
 
         held_before = tracker.world.gripper.held
-        chunk = execute_chunk(tracker, grounded, cfg.chunk_horizon)
+        chunk = execute_chunk(tracker, grounded)
         if (held_before is not None and chunk.results and chunk.results[-1].ok
                 and chunk.primitives[-1].kind in ("place_in", "place_on")):
             rel = "in" if chunk.primitives[-1].kind == "place_in" else "on"

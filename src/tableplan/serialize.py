@@ -75,9 +75,11 @@ def config_hash(config_dict: dict) -> str:
 def graph_to_snapshot(graph: SemanticGraph) -> dict:
     """Planner-visible graph state as one JSON-ready dict.
 
-    Captures nodes (with RLE mask groundings), edges, task memory, and
-    gripper state; appearance features are perception-internal and are not
-    part of the snapshot contract.
+    Captures nodes, edges, task memory, and gripper state.  A grounding
+    stores its mask once, as RLE runs plus the frame size, with the
+    detection's source id and the step it was seen; area and centroid are
+    derived from the mask and not stored.  Appearance features are
+    perception-internal and are not part of the snapshot contract.
     """
     nodes = []
     for node in graph.sorted_nodes():
@@ -87,9 +89,6 @@ def graph_to_snapshot(graph: SemanticGraph) -> dict:
             groundings[view_id] = {
                 "rle": g.region.rle(),
                 "size": list(g.region.frame),
-                "centroid": [fmt_float(g.region.centroid[0]),
-                             fmt_float(g.region.centroid[1])],
-                "area": g.region.area,
                 "source": int(g.source_id),
                 "seen_step": int(g.seen_step),
             }
@@ -118,8 +117,8 @@ def graph_to_snapshot(graph: SemanticGraph) -> dict:
 def graph_from_snapshot(snapshot: dict) -> SemanticGraph:
     """Rebuild a queryable graph from a snapshot (features are zeroed).
 
-    Each grounding's centroid and area come from its decoded mask; the
-    snapshot's own copies of them are not read.
+    Each grounding's Region, and so its area, centroid and box, is rebuilt
+    from its decoded mask.
     """
     graph = SemanticGraph(step=int(snapshot["step"]))
     for rec in snapshot["nodes"]:

@@ -95,10 +95,8 @@ class GripperState:
 
 @dataclass(frozen=True)
 class Primitive:
-    kind: str  # pick | place_in | place_on | place_at | no_op
+    kind: str  # pick | place_in | place_on | no_op (approach target)
     target: Optional[int] = None
-    position: Optional[tuple] = None  # place_at only
-    duration_steps: int = 1
 
 
 @dataclass(frozen=True)
@@ -170,11 +168,11 @@ def _ancestors(world: WorldState, obj: SimObject) -> set:
 def apply_primitive(world: WorldState, prim: Primitive) -> tuple:
     """Apply one primitive; returns (new_world, PrimitiveResult).
 
-    Rejected primitives advance step_count (time passes) but leave the scene
-    unchanged.
+    Every primitive advances step_count by one (time passes even when it
+    is rejected); a rejected one leaves the scene unchanged.
     """
     new_world, result = _apply(world, prim)
-    new_world = replace(new_world, step_count=new_world.step_count + prim.duration_steps)
+    new_world = replace(new_world, step_count=new_world.step_count + 1)
     return new_world, result
 
 
@@ -219,25 +217,6 @@ def _apply(world: WorldState, prim: Primitive) -> tuple:
             container_of=target.id if prim.kind == "place_in" else None,
             support_of=target.id if prim.kind == "place_on" else None,
         )
-        world = _with_object(world, placed)
-        return replace(world, gripper=GripperState(True, None)), PrimitiveResult("completed")
-
-    if prim.kind == "place_at":
-        if world.gripper.free:
-            return _reject(world, "gripper empty")
-        held = world.get(world.gripper.held)
-        x, y = prim.position
-        bw, bh = world.table_bounds
-        r = circumradius(held.footprint)
-        if not (r <= x <= bw - r and r <= y <= bh - r):
-            return _reject(world, "placement outside table bounds")
-        for other in world.objects:
-            if other.id == held.id or other.z_layer != 1:
-                continue
-            min_d = r + circumradius(other.footprint)
-            if math.hypot(x - other.x, y - other.y) < min_d:
-                return _reject(world, "placement overlaps another object")
-        placed = replace(held, x=x, y=y, z_layer=1, container_of=None, support_of=None)
         world = _with_object(world, placed)
         return replace(world, gripper=GripperState(True, None)), PrimitiveResult("completed")
 
@@ -314,7 +293,7 @@ class _Placer:
                 return False
         thr = self.cfg.near_threshold_m
         band = self.geom["near_margin_m"]
-        gap = self.geom["min_gap_m"] - self.cfg.overlap_tolerance
+        gap = self.geom["min_gap_m"]
         for (px, py, pz, pr) in self.placed:
             d = math.hypot(x - px, y - py)
             if d < radius + pr + gap:

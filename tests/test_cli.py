@@ -174,10 +174,11 @@ def _edit_header(change):
     (_edit_header(lambda h: h.update(seed=3.7)), "is not an integer"),
     (_edit_header(lambda h: h.update(seed="3")), "is not an integer"),
     (_edit_header(lambda h: h.update(seed=True)), "is not an integer"),
+    (_edit_header(lambda h: h.update(version="0.1.0")), "log version"),
 ], ids=["truncated_line", "non_object_line", "header_without_config",
         "header_without_seed", "header_with_non_integer_seed",
         "header_with_float_seed", "header_with_string_seed",
-        "header_with_bool_seed"])
+        "header_with_bool_seed", "header_with_old_version"])
 def test_replay_malformed_log(good_log_lines, tmp_path, capsys, edit, message):
     log = tmp_path / "bad.jsonl"
     log.write_text("\n".join(edit(list(good_log_lines))) + "\n")
@@ -207,7 +208,7 @@ def _camera(**change):
     (_camera(view_id=["top"]), "view_id must be a string"),
     ({"cameras": 3}, "cameras must be a list"),
     ({"distractors": "4"}, "distractors must be an integer"),
-    ({"chunk_horizon": 2.5}, "chunk_horizon must be an integer"),
+    ({"chunk_horizon": 2.5}, "unknown config keys: ['chunk_horizon']"),
     ({"step_budget": True}, "step_budget must be an integer"),
     ({"near_threshold_m": None}, "near_threshold_m must be a number"),
     ({"table_bounds": [1]}, "table_bounds must be a list of 2 numbers"),

@@ -16,6 +16,8 @@ from tableplan.serialize import canonical_json, config_hash
 from tableplan.world import DISTRACTOR_CLASSES, FOOTPRINTS, circumradius
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+# options removed in 0.2.0: they had no effect
+REMOVED_KEYS = ("chunk_horizon", "overlap_tolerance")
 
 
 def test_defaults_validate():
@@ -74,8 +76,16 @@ def test_near_rule_matches_overhead_camera():
     ("cameras", 5),
     ("cameras", (5,)),
     ("custom_objects", 5),
+    ("step_budget", 2.5),
+    ("distractors", 2.5),
+    ("mock_latency_s", math.nan),
 ])
 def test_validate_rejects(field, value):
+    if field in REMOVED_KEYS:
+        # the option is gone, so a config file that still sets it is refused
+        with pytest.raises(ConfigError, match=rf"unknown config keys: \['{field}'\]"):
+            SceneConfig.from_dict({field: value})
+        return
     with pytest.raises(ConfigError):
         SceneConfig(**{field: value})
 
@@ -220,6 +230,10 @@ def test_dict_roundtrip():
 def test_from_dict_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown config keys"):
         SceneConfig.from_dict({"task": "swap_cups", "lasers": True})
+    # the two options removed in 0.2.0 (they had no effect) are refused
+    with pytest.raises(ConfigError, match=r"unknown config keys: "
+                       r"\['chunk_horizon', 'overlap_tolerance'\]"):
+        SceneConfig.from_dict({"chunk_horizon": 10, "overlap_tolerance": 0.0})
     with pytest.raises(ConfigError, match="unknown keys in perception_noise"):
         SceneConfig.from_dict({"perception_noise": {"fog": 1.0}})
 

@@ -66,65 +66,65 @@ def records_digest(records: list) -> str:
 # (config, seed) -> records digest
 PINNED = {
     ("custom_rgb", 1):
-        "69749cd75d6a8d15170355e02ca3b72691c35ba632428913f3c350e42d865295",
+        "7461764532701bdd088dd5dd12e6a044878d4432c16159a1b56b5faa59f4a5df",
     ("custom_rgb", 2):
-        "ac43770129b9c1bfa1c814d624069005faae889c4539561027a22ac9b8d7e365",
+        "ce1fb88f6964d16b9fe56ced17dbaf20c80e5a71a85b100355c728430d732fd8",
     ("perfect_pnp_twice", 1):
-        "d9f1bc35455d8b2cdf2ff9d711104ca125764af5bbfde7a173c04156f0a1b7d4",
+        "7f08a8312ffb751cb5db899ba8327157c413b45429dcb1de8eeeb4affc20c19c",
     ("perfect_pnp_twice", 2):
-        "d11c35c4db7de1d2eb57ec0214b7be7c77faf7997deb2c844ef5fd464b6ae28b",
+        "41ef1f18b8119fcfdcf7ad7aff9b16a68a274ed9c53260b87496a07919a2cd5d",
     ("perfect_place_and_stack", 1):
-        "4cb0b3e795850c12bd02a7c7575b9195a1a3972fa6fff0a3a69a0e84862e57d7",
+        "358da5d308ec7122c08b4405a713a65e98ee115357bea1ad62271f17603888f2",
     ("perfect_place_and_stack", 2):
-        "1344d7c69c281c440d816fc7bbd984ef55ccdeda665c52108908a63fdd7ecf56",
+        "18db636ad89ada0b6e0b170cd97b75690340e5e1d3dc68983df468c532716351",
     ("perfect_swap_cups", 1):
-        "3895c586cb8171548e1dc7efdabede59eeb5f3d145647b06c56a205e7b050032",
+        "91e6577c0791c1eb6a7c0bde1344a79f2ef1a44873a0439a8918af844e9e01ab",
     ("perfect_swap_cups", 2):
-        "aef3a726340e4214cf69e12e3877776ed38711c473d10d9e1b1799229b4d0eca",
+        "e8d4ebc816e09189324eff1f40b6c616ffe678a63e9822fff1a55e9cb9713087",
     ("perfect_swap_cups_blue", 1):
-        "648b14a8c20ecfac594723e6f5396ee712639517ad4faaef3240d7f6a8b6229f",
+        "495240c4717a2e144ead5ed163e38857313c9629809ec3b8f48fd1d1ec74c4db",
     ("perfect_swap_cups_blue", 2):
-        "ec32f9d6ba8a4d3b0d3dae63356df88ecf5042d8b122f5d765b5fd92d4d9c4ee",
+        "99b9871212f076205a2cacf401e2fb015a5749226ca09a5eef4bf9b84d70f234",
     ("noisy_swap_cups_blue", 1):
-        "18386c508d1f179feddbb2454a2af2bc4b35c3e8ed61cfeb0bf7984c73b76bf0",
+        "80b9fdc478be840f512f0d262d554cce7b5fba02ed96f59ac221e5dda18da654",
     ("noisy_swap_cups_blue", 2):
-        "7e255ed248b1d7a9cd9c29d41f4e139f512f367c8292b8ebcf59ff97f13827fc",
+        "7d7ddd70a3dfcf80d9331a97ef061a4ac451cc87345b473f3f07dc83fc2f34b1",
     ("swap_noisy", 1):
-        "d154bcaa3819974357c64e65fa84cc47daa67f9fb7469c8e840b30699bbe7a04",
+        "4298e01b95db8de8dbb063087327cf92dbc188798cfcd19e3514315bce2124ec",
     ("swap_noisy", 2):
-        "afde429dce4142a6f841a3a09942c589f866f657cd7dd0aeb3b2c806a9ac8602",
+        "e16593fc8fb863621212a8f7d1b951342fb89c619e59984352fc2450faf330da",
     ("raw_clutter", 1):
-        "84ec20d2e1827bfc79c08c780111fdbc41a52d6f521f2a4e6537e7102dce55e0",
+        "bbb297d02f020b1a796838d21ec7fa8aab756b7e25085f00262913dc7dbaa9e0",
     ("raw_clutter", 2):
-        "59ef35d7356c459dc5bb7aaee099b06ad5462e8293926f7ce9f0832c1e5dc8f5",
+        "1c186a1f468edaea92ee0d697011567e36cf7a0cd32bfaa4870ec39f6438b30a",
     ("markovian_pnp_twice", 1):
-        "4b86ccff3cfbcae40ad5aee7c77edea53017ccf7b74eebf8009f4c041957a792",
+        "961f230f116ed20c36fa4b5556516cb55bb4a47fe451f664a2db9a480206def5",
     ("markovian_pnp_twice", 2):
-        "afa875fbb9413a79f8e4963096bd23d4d9786b03167955acaccfd69b9dcb4935",
+        "e1c4807c0d1e87d244d1dea62ddc6a20e1abfcd8458e86a2bb55e05f5bd1f95f",
     ("rgb_pnp_twice", 1):
-        "c9c215d95341ed55d207d46026478a0a54a1e78a076a596789e3875d98648d6d",
+        "38126b6b20f4ab35275b0c5e43c0ecc80c5ab435dd6ea521244f7a102a044bd9",
     ("rgb_pnp_twice", 2):
-        "0296199fed3423f678d819700e4cc316dc443bd9d5fed87c03f54b96cd07f428",
+        "70d7ef28418c3a20e400a0c0c08335d4e7fe4d7c6a7cd313cfc0c0038c378d99",
     ("rgb_swap_cups", 1):
-        "7f603692de8f912311bea40dd4864b2c89b46bb9127f7681f5d468df8dbf568a",
+        "9075bf02af50fe299756c827e6e6d8cfd221324fee1532f504c97a0adeda735a",
     ("rgb_swap_cups", 2):
-        "b256850288f70f9e981559783ef5f55d3699b4ea11985c4789715dc005fb7624",
+        "57db340f44df907d98e268a22596e45d73f55db4b0953ddfa8fb66e38e656ac6",
     ("rgb_swap_cups_blue", 1):
-        "9add736c1e401e6e5354e1f2592c2f041f81ab56bc8cfe364eb6c2106eeda9b6",
+        "a4d3abf1c894fff4259a9eddc3ddb01b3870e3947b55fdc39be153a119d250ba",
     ("rgb_swap_cups_blue", 2):
-        "712b9163574741fa2a302c1d5260d1cba14d135afce196820a5ac453697de3db",
+        "33ebf0ec9945a4171bd92ead1c160a9316ae697a2dad8aa9d179a52a3eeae8d5",
     ("replay_code", 1):
-        "4b9c6f281cf461c10ce7bc5c7a0bebca3a8847cad4348141d8c6ea6ab7aa021b",
+        "2e666ca63870abf8243a887be09f291bfeb646eb0fa38e4b3072f73c01ec7100",
     ("replay_code", 2):
-        "83ad321213499839165d73bcbad87492061a3192ea4451a6e55623c6a48600bc",
+        "35e430db72e121709c878a3c24b87b570d4a0d703f308f790c6c941dbb31c19b",
     ("replay_mock_vlm_graph", 1):
-        "0427fee9405e60ca3910946c8c1d0ad042afeda00032e17b5f917929f3ce54c5",
+        "5d249a4c618936e78d32fa20b8954777f90e2e87061a5483e111e228df8fb860",
     ("replay_mock_vlm_graph", 2):
-        "b8936cc8e52e9d58fa05791dcd340bf1a99feea44137924a5c5f977621853e79",
+        "62f6fce594c9f4225b8108618787583f12adc21d987a6aa13a0ad33453721d61",
     ("replay_mock_vlm_rgb", 1):
-        "4b6f5509501f3029bfbc7c0650d96a081ec1b0df4295c1699c414333c18558f2",
+        "ff4dbd8bc2b30ccd138ed1b386febade709db38417c30d88674a7080573f7b90",
     ("replay_mock_vlm_rgb", 2):
-        "7a70bc77ab5a98631d64dcfda59012e024bce6a9f0a5989c80d2fdc5fa8b4c75",
+        "c576449d7f10357b55d0145e53a3fa4cdc85478fd0272ec49307448d6701c1d7",
 }
 
 

@@ -209,7 +209,7 @@ def test_execute_chunk_completed():
     cfg, world, raw, g = scene()
     src = next(iter(g.nodes[g.resolve("black_cup")].groundings.values())).source_id
     tracker = WorldTracker(world)
-    chunk = execute_chunk(tracker, grounded_pick(g, src), horizon=10)
+    chunk = execute_chunk(tracker, grounded_pick(g, src))
     assert chunk.outcome == "completed"
     assert [p.kind for p in chunk.primitives] == ["no_op", "pick"]
     assert all(r.ok for r in chunk.results)
@@ -222,7 +222,7 @@ def test_execute_chunk_rejection_stops():
     world, res = apply_primitive(world, Primitive(kind="pick", target=cups[0].id))
     assert res.ok
     tracker = WorldTracker(world)
-    chunk = execute_chunk(tracker, grounded_pick(g, cups[1].id), horizon=10)
+    chunk = execute_chunk(tracker, grounded_pick(g, cups[1].id))
     assert chunk.outcome == "rejected"
     assert len(chunk.primitives) == 2
     assert chunk.results[0].ok and not chunk.results[1].ok
@@ -233,17 +233,6 @@ def test_execute_chunk_mis_grounded_label():
     cfg, world, raw, g = scene()
     src = next(iter(g.nodes[g.resolve("blue_cup")].groundings.values())).source_id
     tracker = WorldTracker(world)
-    chunk = execute_chunk(tracker, grounded_pick(g, src, mis="target"),
-                          horizon=10)
+    chunk = execute_chunk(tracker, grounded_pick(g, src, mis="target"))
     assert chunk.outcome == "mis_grounded"
     assert all(r.ok for r in chunk.results)
-
-
-def test_execute_chunk_horizon_truncates():
-    cfg, world, raw, g = scene()
-    src = next(iter(g.nodes[g.resolve("black_cup")].groundings.values())).source_id
-    tracker = WorldTracker(world)
-    chunk = execute_chunk(tracker, grounded_pick(g, src), horizon=1)
-    assert len(chunk.primitives) == 1
-    assert chunk.primitives[0].kind == "no_op"
-    assert tracker.world.gripper.held is None

@@ -7,6 +7,7 @@ import pytest
 from tableplan.config import SceneConfig, default_noise_config
 from tableplan.dsl import evaluate_policy, load_program
 from tableplan.graph import init_graph, update_graph
+from tableplan import harness
 from tableplan.harness import run_episode
 from tableplan.perception import make_task_spec
 from tableplan.region import Region
@@ -188,6 +189,38 @@ def test_snapshot_deterministic_bytes():
     a = canonical_json(graph_to_snapshot(built_graph()))
     b = canonical_json(graph_to_snapshot(built_graph()))
     assert a == b
+
+
+def _regions(graph) -> dict:
+    return {(node.node_id, view): (g.region.area, g.region.centroid)
+            for node in graph.sorted_nodes()
+            for view, g in node.groundings.items()}
+
+
+def test_log_format_stores_each_mask_once(monkeypatch):
+    # a grounding is its RLE mask, frame size, source and step: area and
+    # centroid are derived from the mask on load, equal to the live Region's
+    live = []
+
+    def snapshot(graph):
+        live.append(_regions(graph))
+        return graph_to_snapshot(graph)
+
+    monkeypatch.setattr(harness, "graph_to_snapshot", snapshot)
+    result = run_episode(default_noise_config("place_and_stack",
+                                              distractors=2), 1)
+    rounds = [r for r in result.records if r["kind"] == "record"]
+    assert len(rounds) == len(live) > 1
+    primitives = 0
+    for rec, regions in zip(rounds, live):
+        for node in rec["graph"]["nodes"]:
+            for g in node["groundings"].values():
+                assert set(g) == {"rle", "size", "source", "seen_step"}
+        assert _regions(graph_from_snapshot(rec["graph"])) == regions
+        for prim in rec.get("execution", {}).get("primitives", ()):
+            assert set(prim) == {"kind", "target"}
+            primitives += 1
+    assert primitives > 0
 
 
 def test_rle_encode_in_box_matches_full_frame():

@@ -157,26 +157,6 @@ def test_stacking_depth_increments_z():
     assert w.get(cups[1].id).support_of == cups[0].id
 
 
-def test_place_at():
-    w = world_for("pnp_twice", seed=0)
-    cube = w.by_class("cube")[0]
-    w, _ = apply_primitive(w, Primitive(kind="pick", target=cube.id))
-
-    w, res = apply_primitive(w, Primitive(kind="place_at", position=(0.001, 0.001)))
-    assert not res.ok and "bounds" in res.reason
-
-    plate = w.by_class("plate")[0]
-    w, res = apply_primitive(w, Primitive(kind="place_at",
-                                          position=(plate.x, plate.y)))
-    assert not res.ok and "overlaps" in res.reason
-
-    w, res = apply_primitive(w, Primitive(kind="place_at", position=(0.5, 0.2)))
-    if res.ok:  # seed-dependent clearance
-        moved = w.get(cube.id)
-        assert (moved.x, moved.y, moved.z_layer) == (0.5, 0.2, 1)
-        assert w.gripper.free
-
-
 def test_no_op_and_unknown():
     w = world_for("pnp_twice", seed=0)
     w2, res = apply_primitive(w, Primitive(kind="no_op"))
@@ -185,12 +165,6 @@ def test_no_op_and_unknown():
     assert not res.ok and "unknown primitive" in res.reason
     with pytest.raises(UnknownObject):
         apply_primitive(w, Primitive(kind="pick", target=999))
-
-
-def test_duration_steps():
-    w = world_for("pnp_twice", seed=0)
-    w2, _ = apply_primitive(w, Primitive(kind="no_op", duration_steps=5))
-    assert w2.step_count == w.step_count + 5
 
 
 # -- opacity ------------------------------------------------------------------
