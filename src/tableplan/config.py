@@ -11,10 +11,11 @@ import json
 import math
 import numbers
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any
 
+from .region import memo
 from .world import ARM_CLASS, FOOTPRINTS, TASK_TABLE
 
 TASKS = tuple(TASK_TABLE)
@@ -150,8 +151,7 @@ class CameraConfig:
 
     def to_px(self, x, y) -> tuple:
         """World metres to pixel (col, row); floats or numpy arrays."""
-        th = math.radians(self.rotation_deg)
-        c, s = math.cos(th), math.sin(th)
+        c, s = self._cos_sin
         dx, dy = x - self.look_at[0], y - self.look_at[1]
         return (self.px_per_m * (c * dx - s * dy) + self.center_px[0],
                 self.px_per_m * (s * dx + c * dy) + self.center_px[1])
@@ -167,8 +167,15 @@ class CameraConfig:
             raise ConfigError(f"camera {self.view_id}: px_per_m must be > 0")
         _finite(self.px_per_m, "px_per_m")
         _finite(self.rotation_deg, "rotation_deg")
-        _numbers(self.center_px, "center_px", 2, _finite)
-        _numbers(self.look_at, "look_at", 2, _finite)
+        # stored as tuples, so every camera is hashable
+        object.__setattr__(self, "image_size", (w, h))
+        object.__setattr__(self, "center_px",
+                           _numbers(self.center_px, "center_px", 2, _finite))
+        object.__setattr__(self, "look_at",
+                           _numbers(self.look_at, "look_at", 2, _finite))
+        # not a field: equality, hashing and to_dict never see it
+        th = math.radians(self.rotation_deg)
+        object.__setattr__(self, "_cos_sin", (math.cos(th), math.sin(th)))
 
 
 # Overhead covers the whole table; its diagonal (200 px at 160 px/m = 1.25 m)
@@ -284,20 +291,22 @@ class SceneConfig:
     # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
-        # field by field: asdict cannot copy the read-only mappings
-        d = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "cameras":
-                value = [asdict(c) for c in value]
-            elif f.name == "geometry":
-                value = dict(value)
-            elif f.name == "custom_objects":
-                value = tuple(dict(spec) for spec in value)
-            elif is_dataclass(value):
-                value = asdict(value)
-            d[f.name] = value
+        """A new dict on every call.  Field by field, without a deep copy:
+        the sub-configs hold only numbers, strings and tuples of them."""
+        d = _field_dict(self)
+        d["cameras"] = [_field_dict(c) for c in self.cameras]
+        d["geometry"] = dict(self.geometry)
+        d["custom_objects"] = tuple(dict(spec) for spec in self.custom_objects)
+        for name in ("perception_noise", "executor_error", "thresholds"):
+            d[name] = _field_dict(d[name])
         return d
+
+    @memo
+    def config_hash(self) -> str:
+        """`serialize.config_hash` of `to_dict()`, computed once per config
+        object (a dataclasses.replace copy is a new object)."""
+        from .serialize import config_hash  # serialize imports this module
+        return config_hash(self.to_dict())
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "SceneConfig":
@@ -341,6 +350,11 @@ class SceneConfig:
     @classmethod
     def load(cls, path: str) -> "SceneConfig":
         return cls.from_json(read_text(path))
+
+
+def _field_dict(obj) -> dict:
+    """A dataclass's fields, by name, in a new dict."""
+    return {name: getattr(obj, name) for name in obj.__dataclass_fields__}
 
 
 def read_text(path) -> str:

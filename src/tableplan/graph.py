@@ -321,9 +321,11 @@ def induce_relations(regions: dict, image_diag: dict) -> set:
 
     in (a, b): a is smaller than b and at least CONTAIN_COVERAGE of a's
     pixels lie on b's hull.  A region's hull (Region.hull) is built the
-    first time a smaller node's crop meets its padded box in that view, and
-    the region keeps it; pairs that fail the area order or the box test
-    never build one.  on (a, b): a's centroid is above b's and a, shifted
+    first time a smaller node has at least CONTAIN_COVERAGE of its pixels
+    inside the hull's padded box in that view (Region.count_in), and the
+    region keeps it; pairs that fail the area order or the box count never
+    build one, and since the hull lies inside its box they fail the test
+    anyway.  on (a, b): a's centroid is above b's and a, shifted
     down one row, touches b on at least SUPPORT_CONTACT_PX pixels (masks are
     disjoint, so only the boundary row contributes).  Each region's area,
     box and centroid are read once per call.
@@ -344,13 +346,15 @@ def induce_relations(regions: dict, image_diag: dict) -> set:
                 continue
             rel = "in"
             for v in both:
-                ra, area_a, (ar0, ar1, ac0, ac1), _ = ea[v]
+                ra, area_a, _, _ = ea[v]
                 rb, area_b, (br0, br1, bc0, bc1), _ = eb[v]
-                # a's crop must meet b's padded hull box, or nothing is
-                # covered and b's hull need not be built
+                # b's hull lies in b's padded box, so it covers no more of a
+                # than the box holds: a pair short of coverage in the box
+                # fails without b's hull being built
                 if not (area_a < area_b
-                        and ar0 < br1 + HULL_PAD and br0 - HULL_PAD < ar1
-                        and ac0 < bc1 + HULL_PAD and bc0 - HULL_PAD < ac1
+                        and ra.count_in(br0 - HULL_PAD, br1 + HULL_PAD,
+                                        bc0 - HULL_PAD, bc1 + HULL_PAD)
+                        / area_a >= CONTAIN_COVERAGE
                         and ra.overlap(rb.hull, rb.hull_origin) / area_a
                         >= CONTAIN_COVERAGE):
                     rel = None

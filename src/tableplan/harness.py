@@ -27,7 +27,7 @@ from .perception import make_task_spec
 from .prompting import clutter_free_obs, raw_obs_passthrough
 from .render import Renderer
 from .rng import Rng
-from .serialize import canonical_json, config_hash, graph_to_snapshot
+from .serialize import canonical_json, graph_to_snapshot
 from .world import TASK_TABLE, MilestoneTracker, init_world
 
 
@@ -182,9 +182,8 @@ def run_episode(cfg: SceneConfig, seed: int, log_path=None,
     if program is None and uses_plan:
         program = load_task_program(cfg.task, cfg.variant)
 
-    config = cfg.to_dict()
     header = {"kind": "header", "version": __version__,
-              "config": config, "config_hash": config_hash(config),
+              "config": cfg.to_dict(), "config_hash": cfg.config_hash,
               "seed": seed, "task_instruction": task_spec.instruction}
     records = [header]
 

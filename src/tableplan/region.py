@@ -14,11 +14,15 @@ A Region is also the only owner of the facts its mask implies: `area`, the
 exact integer index `sums` and the `centroid` divided from them are computed
 once on construction; `hull` -- what containment is tested against -- and
 the RLE runs that snapshots store are each built on first access and kept
-for the region's life.  So every record, detection and grounding that
-shares the region shares its hull and runs, and so does every later round
-of the episode that the renderer carries the region into unchanged, or in
-which the object's mask recurs at the same pose (the renderer's memo
-returns the record, and so the Region, built the first time).
+for the region's life (`memo`).  So every record, detection and grounding
+that shares the region shares its hull and runs, and so does every later
+round of the episode that the renderer carries the region into unchanged,
+or in which the object's mask recurs at the same pose (the renderer's memo
+returns the record, and so the Region, built the first time).  An
+unoccluded mask's Region belongs to the renderer's raster entry, which is
+keyed by content, not by object: objects of one footprint at one pose
+share it, and the entries of the object in the gripper, with their
+Regions, hulls and runs, outlive the episode (see render.Renderer).
 
 The hull is built by `containment_hull` in plain numpy, bit-identical to
 scipy.ndimage's `binary_fill_holes` (4-connected) followed by
@@ -41,13 +45,31 @@ which the tests keep as its reference:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 CONTAIN_DILATE_PX = 2
 HULL_PAD = CONTAIN_DILATE_PX + 1
+
+
+class memo:
+    """A method's value, computed on the first read of the attribute and
+    stored in the instance dict under the method's name, where every later
+    read finds it without reaching this descriptor.  A plain dict write:
+    functools.cached_property also takes a lock on each first read (Python
+    3.10, 3.11).  It writes past a frozen dataclass's __setattr__."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 def _cross(mask: np.ndarray) -> np.ndarray:
@@ -147,7 +169,7 @@ class Region:
         r0, c0 = self.origin
         return (r0, r0 + self.crop.shape[0], c0, c0 + self.crop.shape[1])
 
-    @cached_property
+    @memo
     def hull(self) -> np.ndarray:
         """`containment_hull` of the crop -- padded by HULL_PAD, hole-filled,
         then dilated CONTAIN_DILATE_PX times -- placed at `hull_origin`.
@@ -174,6 +196,19 @@ class Region:
         sub_a = self.crop[r0 - ar0:r1 - ar0, c0 - ac0:c1 - ac0]
         sub_b = crop[r0 - br0:r1 - br0, c0 - bc0:c1 - bc0]
         return int(np.count_nonzero(sub_a & sub_b))
+
+    def count_in(self, r0: int, r1: int, c0: int, c1: int) -> int:
+        """Pixels of this region inside the half-open box (r0, r1, c0, c1),
+        which may reach past the frame."""
+        ar0, ar1, ac0, ac1 = self.box
+        if r0 <= ar0 and ar1 <= r1 and c0 <= ac0 and ac1 <= c1:
+            return self.area
+        r0, r1 = max(r0, ar0), min(r1, ar1)
+        c0, c1 = max(c0, ac0), min(c1, ac1)
+        if r0 >= r1 or c0 >= c1:
+            return 0
+        return int(np.count_nonzero(
+            self.crop[r0 - ar0:r1 - ar0, c0 - ac0:c1 - ac0]))
 
     def iou(self, other: "Region") -> float:
         inter = self.overlap(other.crop, other.origin)
@@ -204,7 +239,7 @@ class Region:
         zero-run (possibly length 0); a new list on every call."""
         return list(self._runs)
 
-    @cached_property
+    @memo
     def _runs(self) -> tuple:
         """The runs of `rle`, computed once.  Only the region's rows are
         scanned; the rows above and below are the leading and trailing

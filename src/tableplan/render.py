@@ -14,12 +14,13 @@ opaque container render nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .config import CameraConfig
 from .perception import base_features
-from .region import Region
+from .region import Region, memo
 from .world import WorldState, hidden_inside_opaque
 
 
@@ -102,14 +103,66 @@ def rasterize_polygon(polygons) -> list:
                                      width.tolist(), r0.tolist(), c0.tolist())]
 
 
-@dataclass(frozen=True)
+class _Raster:
+    """One footprint's raster at one lifted pose in one camera: what every
+    object of that footprint drawn there paints.  `region`, the Region of
+    the raster's in-frame pixels, is built on first read and kept, with its
+    hull and RLE runs, for the entry's life."""
+
+    def __init__(self, mask: np.ndarray, origin: tuple, frame: tuple):
+        self.mask = mask        # bounding-box raster, not clipped
+        self.origin = origin    # (row0, col0) of the mask
+        self.frame = frame      # (H, W)
+        self.footprint = int(mask.sum())  # pixels, not clipped
+        (r0, c0), (mh, mw), (h, w) = origin, mask.shape, frame
+        # the frame-clipped box, None when the raster misses the frame
+        box = (max(r0, 0), min(r0 + mh, h), max(c0, 0), min(c0 + mw, w))
+        if box[0] >= box[1] or box[2] >= box[3]:
+            self.box, self.in_frame = None, 0
+        elif box == (r0, r0 + mh, c0, c0 + mw):
+            self.box, self.in_frame = box, self.footprint
+        else:
+            self.box = box
+            self.in_frame = int(np.count_nonzero(self._clipped()))
+
+    def _clipped(self) -> np.ndarray:
+        r0, r1, c0, c1 = self.box
+        mr0, mc0 = self.origin
+        return self.mask[r0 - mr0:r1 - mr0, c0 - mc0:c1 - mc0]
+
+    @memo
+    def region(self) -> Region:
+        """The Region of the in-frame pixels; read only when `in_frame` > 0,
+        since an empty mask has none."""
+        r0, _, c0, _ = self.box
+        return Region.from_sub(self._clipped(), (r0, c0), self.frame)
+
+
+@dataclass(frozen=True, eq=False)
 class ViewRecord:
+    """One visible object in one view.  Its `region`, the visible mask, is
+    built on first read from `source`: the raster entry, whose Region it
+    borrows, when every in-frame pixel of the raster is visible, else
+    (box-local visible mask, the mask's origin, frame).  So a record that
+    perception drops never builds a Region."""
+
     object_id: int
     class_name: str
     attributes: dict
     base_feature: np.ndarray
-    region: Region  # the visible mask
     visible_fraction: float  # visible / unoccluded, unclipped footprint pixels
+    source: object
+
+    @memo
+    def region(self) -> Region:
+        if isinstance(self.source, _Raster):
+            return self.source.region
+        return Region.from_sub(*self.source)
+
+    @property
+    def built_region(self) -> Optional[Region]:
+        """`region` once it has been read, else None; never builds it."""
+        return self.__dict__.get("region")
 
 
 @dataclass(frozen=True)
@@ -132,7 +185,7 @@ class RawObservation:
 class _ViewState:
     """What one camera's last render leaves for the next."""
     label: np.ndarray
-    painted: dict  # object id -> (raster key, clipped box)
+    painted: dict  # object id -> (raster key, z layer, clipped box)
     records: dict  # object id -> ViewRecord, visible objects only
 
 
@@ -162,20 +215,40 @@ def _repaint(label: np.ndarray, paints: list, dirty: list) -> set:
     return touched
 
 
+# Raster entries drawn for the object in the gripper, shared by every
+# Renderer in the process: (footprint, x, lifted y, CameraConfig) -> _Raster.
+# The gripper holds every object at the arm's pose, which the configuration
+# fixes, so a configuration adds one entry per held footprint and camera;
+# the table is emptied when it reaches HELD_TABLE_MAX entries, which bounds
+# it over many configurations.
+_HELD: dict = {}
+HELD_TABLE_MAX = 256
+
+
 class Renderer:
     """Renders one episode's worlds into per-view label maps, carrying
     per-object state from each render to the next.
 
-    Polygon rasters are cached with their footprint area under (object id,
-    pose, view), so within an episode only the one or two objects a chunk
-    moved get re-rasterized; a render projects the footprints the cache
-    lacks with one `to_px` call per camera and rasterizes them, for both
-    cameras together, in one `rasterize_polygon` call (none when nothing
-    moved).  Each object's footprint vertex array and base feature are
-    built once per episode, the features of a render's new objects in one
-    `base_features` pass.  For each camera the renderer keeps the last
-    label map and, for each object painted into it, the object's raster key
-    and frame-clipped box.  An object whose entry differs from the last
+    Rasters are keyed by what they depend on -- (footprint, x, lifted y,
+    camera) -- not by object, so objects of one footprint at one pose share
+    one entry (a cup put down where the other cup stood).  Within an episode
+    only an object a chunk moved to a pose where nothing of its footprint
+    was drawn before gets rasterized; a render projects the footprints the
+    cache lacks with one `to_px` call per camera and rasterizes them, for
+    both cameras together, in one `rasterize_polygon` call (none when
+    nothing needs one).  The entries of
+    the object in the gripper also go into the module's `_HELD` table, as
+    copies, and outlive the episode: the gripper's pose is fixed by the
+    configuration, so after a process's first pick of a footprint no later
+    pick in any episode rasterizes it or builds its Region, hull or RLE runs.
+    Everything else -- every other entry, each object's footprint vertex
+    array and base feature (the features of a render's new objects in one
+    `base_features` pass), the records and the label maps -- is dropped
+    with the Renderer.
+
+    For each camera the renderer keeps the last label map and, for each
+    object painted into it, the object's raster key, z layer and
+    frame-clipped box.  An object whose entry differs from the last
     render's has changed: it moved, changed z layer, was hidden inside an
     opaque container, reappeared, or left the frame.  The old and new boxes
     of every changed object are dirty.  The new label map is the last one
@@ -186,31 +259,33 @@ class Renderer:
     An object's visible pixels all lie in the box it was painted into (later
     paints only overwrite), so an object whose box misses every dirty box --
     it did not change, since its own box would be dirty -- keeps the last
-    render's ViewRecord whole: its Region, with hull and RLE runs, and its
-    class, attributes and feature, which an object never changes.  Every
-    other visible object's record is looked up in a memo keyed by its
-    raster key and the bytes of its box-local mask, so a mask the episode
-    has shown before (a cup lifted and put back, an occluder that moved off
-    and back) returns the record, Region, hull and RLE runs built the first
-    time; only a new mask gets a Region, computed from its box alone, never
-    from a whole-frame pass.
+    render's ViewRecord whole.  Every other visible object's record is
+    looked up in a memo keyed by object id and raster key, and, unless every
+    in-frame pixel of the raster is visible, by the bytes of its box-local
+    mask, so a mask the episode has shown before (a cup lifted and put
+    back, an occluder that moved off and back) returns the record built the
+    first time.  A new record whose visible pixels are the raster's
+    in-frame pixels (counted, never compared) borrows the raster entry's
+    Region; any other builds its own from its box alone, and only when its
+    `region` is first read.  Every cached value is a function of its key,
+    so no content a render returns depends on what was cached before.
 
     The first render is the same code starting from an empty frame with no
     painted objects, so every object is changed.  Label maps are read-only
     because the next render starts from them.  A Renderer serves one
     episode: its caches assume that an object id keeps its footprint and
-    appearance, and they are dropped with it.
+    appearance.
     """
 
     def __init__(self, cameras, lift_m: float):
         self.cameras = list(cameras)
         self.lift_m = lift_m
-        # raster key -> (mask, origin, footprint area, frame-clipped box or
-        # None when the raster misses the frame)
-        self._cache: dict = {}
-        self._footprints: dict = {}  # object id -> (N, 2) footprint vertices
-        self._features: dict = {}    # object id -> base feature
-        # (raster key, box-local mask bytes) -> ViewRecord
+        self._cache: dict = {}   # (shape, x, lifted y, view id) -> _Raster
+        # footprint -> (shape: its number in this Renderer, (N, 2) vertices)
+        self._shapes: dict = {}
+        # object id -> (base feature, shape, (N, 2) footprint vertices)
+        self._objects: dict = {}
+        # (object id, raster key[, box-local mask bytes]) -> ViewRecord
         self._records: dict = {}
         self._views = {}
         for cam in self.cameras:
@@ -218,54 +293,70 @@ class Renderer:
             self._views[cam.view_id] = _ViewState(
                 np.zeros((h, w), dtype=np.int32), {}, {})
 
-    def _rasterize_missing(self, drawable: list) -> dict:
-        """view id -> each drawable object's raster key, after caching the
-        raster of every key the cache lacks."""
+    def _rasterize_missing(self, drawable: list, held) -> dict:
+        """view id -> each drawable object's raster key, after caching an
+        entry for every key the cache lacks: for the object `held` in the
+        gripper the held table's entry if it has one, else a new raster."""
+        lift = self.lift_m
+        poses = [(self._objects[o.id][1], o.x, o.y - (o.z_layer - 1) * lift)
+                 for o in drawable]
         keys = {}
-        missed = []     # (raster key, image size), in polygon order
-        polygons = []   # (N_i, 2) pixel vertices
+        missed = []     # (raster key, camera, held-table key or None)
+        polygons = []   # (N_i, 2) pixel vertices, in `missed` order
         for cam in self.cameras:
-            view_keys = [(o.id, o.x, o.y, o.z_layer, cam.view_id)
-                         for o in drawable]
-            keys[cam.view_id] = view_keys
-            misses = [(o, key) for o, key in zip(drawable, view_keys)
-                      if key not in self._cache]
-            if not misses:
+            view_keys = keys[cam.view_id] = [pose + (cam.view_id,)
+                                             for pose in poses]
+            batch = []  # (object, raster key), each key once
+            batched = set()
+            for o, key in zip(drawable, view_keys):
+                if key in self._cache or key in batched:
+                    continue
+                held_key = None
+                if o.id == held:
+                    held_key = (o.footprint, key[1], key[2], cam)
+                    entry = _HELD.get(held_key)
+                    if entry is not None:
+                        self._cache[key] = entry
+                        continue
+                batched.add(key)
+                batch.append((o, key))
+                missed.append((key, cam, held_key))
+            if not batch:
                 continue
-            missed.extend((key, cam.image_size) for _, key in misses)
-            objs = [o for o, _ in misses]
-            for o in objs:
-                if o.id not in self._footprints:
-                    self._footprints[o.id] = np.array(o.footprint,
-                                                      dtype=np.float64)
-            footprints = [self._footprints[o.id] for o in objs]
-            sizes = [len(f) for f in footprints]
-            lifted = np.array([(o.x, o.y - (o.z_layer - 1) * self.lift_m)
-                               for o in objs])
-            world_pts = np.concatenate(footprints) + np.repeat(lifted, sizes,
-                                                               axis=0)
+            verts = [self._objects[o.id][2] for o, _ in batch]
+            sizes = [len(v) for v in verts]
+            lifted = np.array([key[1:3] for _, key in batch])
+            world_pts = np.concatenate(verts) + np.repeat(lifted, sizes, axis=0)
             px = np.stack(cam.to_px(world_pts[:, 0], world_pts[:, 1]), axis=1)
             end = np.cumsum(sizes).tolist()
             polygons.extend(px[b - n:b] for b, n in zip(end, sizes))
         if polygons:
             rasters = rasterize_polygon(polygons)
-            for (key, (w, h)), (mask, (r0, c0)) in zip(missed, rasters):
-                mh, mw = mask.shape
-                box = (max(r0, 0), min(r0 + mh, h), max(c0, 0), min(c0 + mw, w))
-                if box[0] >= box[1] or box[2] >= box[3]:
-                    box = None
-                self._cache[key] = (mask, (r0, c0), int(mask.sum()), box)
+            for (key, cam, held_key), (mask, origin) in zip(missed, rasters):
+                w, h = cam.image_size
+                if held_key is None:
+                    self._cache[key] = _Raster(mask, origin, (h, w))
+                    continue
+                # a copy: a view would keep the whole batch array alive
+                if len(_HELD) >= HELD_TABLE_MAX:
+                    _HELD.clear()
+                self._cache[key] = _HELD[held_key] = _Raster(
+                    mask.copy(), origin, (h, w))
         return keys
 
     def render(self, world: WorldState) -> RawObservation:
         drawable = sorted(
             (o for o in world.objects if not hidden_inside_opaque(world, o)),
             key=lambda o: (o.z_layer, o.id))
-        new = [o for o in drawable if o.id not in self._features]
-        self._features.update(zip(
-            (o.id for o in new),
-            base_features([o.appearance_seed for o in new])))
-        keys = self._rasterize_missing(drawable)
+        new = [o for o in drawable if o.id not in self._objects]
+        for o, feature in zip(new, base_features([o.appearance_seed
+                                                  for o in new])):
+            shape = self._shapes.get(o.footprint)
+            if shape is None:
+                shape = self._shapes[o.footprint] = (
+                    len(self._shapes), np.array(o.footprint, dtype=np.float64))
+            self._objects[o.id] = (feature, *shape)
+        keys = self._rasterize_missing(drawable, world.gripper.held)
         views = {cam.view_id: self._render_view(world, drawable,
                                                 keys[cam.view_id], cam)
                  for cam in self.cameras}
@@ -277,18 +368,18 @@ class Renderer:
     def _render_view(self, world: WorldState, drawable: list, keys: list,
                      cam: CameraConfig) -> ViewObservation:
         prev = self._views[cam.view_id]
-        painted = {}  # object id -> (raster key, clipped box)
+        painted = {}  # object id -> (raster key, z layer, clipped box)
         paints = []   # (object id, mask, origin, clipped box), back to front
         for obj, key in zip(drawable, keys):
-            mask, origin, _, box = self._cache[key]
-            if box is not None:
-                painted[obj.id] = (key, box)
-                paints.append((obj.id, mask, origin, box))
+            entry = self._cache[key]
+            if entry.box is not None:
+                painted[obj.id] = (key, obj.z_layer, entry.box)
+                paints.append((obj.id, entry.mask, entry.origin, entry.box))
         dirty = []
         for oid in painted.keys() | prev.painted.keys():
             old, new = prev.painted.get(oid), painted.get(oid)
             if old != new:
-                dirty.extend(entry[1] for entry in (old, new) if entry)
+                dirty.extend(entry[2] for entry in (old, new) if entry)
 
         label = prev.label.copy()
         for r0, r1, c0, c1 in dirty:
@@ -306,22 +397,28 @@ class Renderer:
                 if oid in prev.records:
                     records[oid] = prev.records[oid]
                 continue
-            key, (r0, r1, c0, c1) = painted[oid]
+            key, _, (r0, r1, c0, c1) = painted[oid]
             sub = label[r0:r1, c0:c1] == oid
-            # the box, and so the mask's shape, is a function of the key
-            memo_key = (key, sub.tobytes())
+            visible = int(np.count_nonzero(sub))
+            if visible == 0:
+                continue
+            entry = self._cache[key]
+            # the visible pixels are a subset of the raster's in-frame ones,
+            # so equal counts mean equal masks; the box, and so the mask's
+            # shape, is a function of the key
+            if visible == entry.in_frame:
+                memo_key, source = (oid, key), entry
+            else:
+                memo_key = (oid, key, sub.tobytes())
+                source = (sub, (r0, c0), label.shape)
             rec = self._records.get(memo_key)
             if rec is None:
-                region = Region.from_sub(sub, (r0, c0), label.shape)
-                if region is None:
-                    continue
-                footprint = self._cache[key][2]
                 rec = self._records[memo_key] = ViewRecord(
                     object_id=oid, class_name=obj.class_name,
                     attributes=dict(obj.attributes),
-                    base_feature=self._features[oid],
-                    region=region,
-                    visible_fraction=region.area / max(footprint, 1),
+                    base_feature=self._objects[oid][0],
+                    visible_fraction=visible / max(entry.footprint, 1),
+                    source=source,
                 )
             records[oid] = rec
         self._views[cam.view_id] = _ViewState(label, painted, records)

@@ -22,11 +22,16 @@ def fmt_float(x) -> str:
 
 
 def rle_decode(runs: list, shape: tuple) -> np.ndarray:
+    """The (H, W) bool mask of row-major run lengths that start with a
+    zero-run.  ValueError when a run is not a non-negative int (a bool is
+    not one) or the runs do not cover the mask exactly."""
     total = int(shape[0]) * int(shape[1])
     flat = np.zeros(total, dtype=bool)
     pos = 0
     value = False
     for run in runs:
+        if type(run) is not int or run < 0:
+            raise ValueError(f"RLE run {run!r} is not a non-negative int")
         if value:
             flat[pos:pos + run] = True
         pos += run

@@ -10,7 +10,19 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture
-def hull_builds(monkeypatch):
+def empty_held_table(monkeypatch):
+    """render's table of held-object rasters, empty for this test and put
+    back after it: a test that counts rasters, Regions or hulls must not
+    depend on which objects earlier tests put in the gripper."""
+    from tableplan import render
+
+    table = {}
+    monkeypatch.setattr(render, "_HELD", table)
+    return table
+
+
+@pytest.fixture
+def hull_builds(monkeypatch, empty_held_table):
     """The shape of every hull built, in order."""
     from tableplan import region as region_mod
 

@@ -334,3 +334,53 @@ def test_to_dict_and_hash_match_the_reference():
         assert type(got["cameras"]) is list
         assert canonical_json(got) == canonical_json(want)
         assert config_hash(got) == config_hash(want)
+
+
+def test_scene_config_hashes_itself_once(monkeypatch):
+    from tableplan import serialize
+    calls = []
+    real = serialize.config_hash
+
+    def counting(d):
+        calls.append(d)
+        return real(d)
+
+    monkeypatch.setattr(serialize, "config_hash", counting)
+    cfg = default_noise_config("place_and_stack", distractors=2)
+    # the test's config_hash is the unpatched one
+    assert cfg.config_hash == config_hash(cfg.to_dict())
+    assert cfg.config_hash == cfg.config_hash and len(calls) == 1
+    other = replace(cfg, step_budget=150)
+    assert other.config_hash != cfg.config_hash
+    assert other.config_hash == config_hash(other.to_dict())
+    # the memo is not a field: equality and to_dict never see it
+    assert cfg == replace(cfg)
+    assert "config_hash" not in cfg.to_dict()
+
+
+def test_every_header_gets_its_own_config_dict():
+    from tableplan.harness import run_episode
+    cfg = perfect_config("pnp_twice")
+    a, b = (run_episode(cfg, seed).header for seed in (0, 1))
+    assert a["config"] == b["config"] == cfg.to_dict()
+    assert a["config_hash"] == b["config_hash"] == config_hash(cfg.to_dict())
+    for key in ("cameras", "geometry", "perception_noise", "executor_error",
+                "thresholds"):
+        assert a["config"][key] is not b["config"][key]
+    assert a["config"]["cameras"][0] is not b["config"]["cameras"][0]
+    a["config"]["geometry"]["lift_m"] = 1.0
+    a["config"]["cameras"][0]["px_per_m"] = 1.0
+    a["config"]["thresholds"]["tau_vis"] = 1.0
+    assert b["config"] == cfg.to_dict()
+    assert cfg.geometry["lift_m"] == DEFAULT_GEOMETRY["lift_m"]
+
+
+def test_camera_rotation_is_not_a_field():
+    a = CameraConfig("c", [100, 80], 120.0, 33.0, [50, 40], [0.5, 0.4])
+    b = CameraConfig("c", (100, 80), 120.0, 33.0, (50, 40), (0.5, 0.4))
+    assert a == b and hash(a) == hash(b)
+    assert a.image_size == (100, 80) and type(a.look_at) is tuple
+    assert list(asdict(a)) == ["view_id", "image_size", "px_per_m",
+                               "rotation_deg", "center_px", "look_at"]
+    assert a != replace(a, rotation_deg=34.0)
+    assert "cos" not in repr(a)

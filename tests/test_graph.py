@@ -430,6 +430,60 @@ def test_induce_relations_matches_per_pair_reference(monkeypatch):
         assert real(regions, diag) == reference_induce_relations(regions, diag)
 
 
+def test_hull_prefilter_keeps_every_relation(monkeypatch):
+    # every round of seeds 0-3 of the benchmark's scene configs: the
+    # relations equal the unfiltered rule's, and some pairs that meet the
+    # larger region's padded box are refused by the box count alone
+    seen = {"rounds": 0, "in": 0, "refused_by_count": 0, "hull_tested": 0}
+    real = graph_mod.induce_relations
+
+    def checked(regions, image_diag):
+        got = real(regions, image_diag)
+        assert got == reference_induce_relations(regions, image_diag)
+        seen["rounds"] += 1
+        seen["in"] += sum(rel == "in" for _, _, rel in got)
+        for a, per_a in regions.items():
+            for b, per_b in regions.items():
+                for v in per_a.keys() & per_b.keys():
+                    ra, rb = per_a[v], per_b[v]
+                    if a == b or not ra.area < rb.area:
+                        continue
+                    br0, br1, bc0, bc1 = rb.box
+                    box = (br0 - HULL_PAD, br1 + HULL_PAD,
+                           bc0 - HULL_PAD, bc1 + HULL_PAD)
+                    inside = ra.count_in(*box)
+                    if 0 < inside < CONTAIN_COVERAGE * ra.area:
+                        seen["refused_by_count"] += 1
+                    elif inside:
+                        seen["hull_tested"] += 1
+        return got
+
+    monkeypatch.setattr(graph_mod, "induce_relations", checked)
+    for cfg in workload_configs():
+        for seed in range(4):
+            harness.run_episode(cfg, seed)
+    assert min(seen.values()) > 0, seen
+
+
+def test_pair_short_of_coverage_in_the_box_builds_no_hull(hull_builds):
+    ring = np.zeros((60, 60), dtype=bool)
+    ring[30:50, 30:50] = True
+    ring[34:46, 34:46] = False
+    # half of the small mask lies inside the ring's padded box
+    straddling = np.zeros((60, 60), dtype=bool)
+    straddling[20:30, 50 + HULL_PAD - 2:50 + HULL_PAD + 2] = True
+    regions = {1: {"v": Region.from_full(straddling)},
+               2: {"v": Region.from_full(ring)}}
+    assert induce_relations(regions, {"v": 1.0}) == set()
+    assert hull_builds == []
+    # all of it inside the box, but in the corner the ring's hull misses
+    corner = np.zeros((60, 60), dtype=bool)
+    corner[28:30, 28:30] = True
+    regions[1] = {"v": Region.from_full(corner)}
+    assert (1, 2, "in") not in induce_relations(regions, {"v": 1.0})
+    assert len(hull_builds) == 1
+
+
 def test_far_apart_masks_build_no_hull(hull_builds):
     small = np.zeros((60, 60), dtype=bool)
     small[2:6, 2:6] = True

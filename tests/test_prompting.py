@@ -1,15 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from tableplan import harness
 from tableplan.config import SceneConfig
-from tableplan.graph import init_graph
+from tableplan.graph import Grounding, SemanticGraph, init_graph
 from tableplan.perception import make_task_spec
 from tableplan.prompting import (BACKGROUND, UnknownNode, clutter_free_obs,
                                  raw_obs_passthrough, retention_mask)
-from tableplan.render import render_views
+from tableplan.region import Region
+from tableplan.render import Renderer, render_views
 from tableplan.rng import Rng
-from tableplan.world import DISTRACTOR_CLASSES, init_world
+from tableplan.world import (DISTRACTOR_CLASSES, Primitive, apply_primitive,
+                             init_world)
 
 from scenes import (full_mask, graph_and_drifted_tracks, scattered_scenes,
                     workload_configs)
@@ -180,3 +184,87 @@ def test_visible_ids_match_masked_map_every_round(monkeypatch):
         for seed in (0, 1):
             harness.run_episode(cfg, seed)
     assert rounds["masked"] > 20 and rounds["raw"] > 2
+
+
+def _with_blank_label_maps(raw):
+    """`raw` with every label map all background and the same records: an
+    id that survives in it was not read from the label map."""
+    return replace(raw, views={
+        v: replace(view, label_map=np.zeros_like(view.label_map))
+        for v, view in raw.views.items()})
+
+
+def test_fast_path_matches_the_label_read():
+    # groundings that are this frame's record Regions skip the label read;
+    # copied, shifted and earlier-frame groundings read the label map, and
+    # every result equals the whole-frame reference
+    cfg = SceneConfig(task="swap_cups", distractors=4)
+    world = init_world(cfg, 0)
+    r = Renderer(cfg.cameras, cfg.geometry["lift_m"])
+    before = r.render(world)
+    g = init_graph(before, make_task_spec("swap_cups"), cfg.thresholds)
+    cup = world.by_class("cup")[0]
+    world, _ = apply_primitive(world, Primitive("pick", cup.id))
+    raw = r.render(world)
+    keep = [n.node_id for n in g.sorted_nodes()
+            if n.class_name in ("cup", "plate")]
+    grounded = [(n, v) for n in map(g.nodes.get, keep) for v in n.groundings]
+    # the read of each record's region is what perception does for it
+    variants = {
+        "own": lambda src, v, reg: raw.views[v].records[src].region,
+        "copied": lambda src, v, reg: Region.from_sub(reg.crop, reg.origin,
+                                                      reg.frame),
+        "shifted": lambda src, v, reg: reg.shifted(1, -2),
+        "earlier": lambda src, v, reg: before.views[v].records[src].region,
+    }
+    blank = _with_blank_label_maps(raw)
+    for name, make in variants.items():
+        for node, v in grounded:
+            gr = node.groundings[v]
+            gr.region = make(gr.source_id, v, raw.views[v].records[
+                gr.source_id].region)
+        got = clutter_free_obs(raw, g, keep, "cue")
+        for view_id, view in raw.views.items():
+            mask = retention_mask(g, keep, view_id, view.label_map.shape)
+            assert got.visible[view_id] == ids_under(view.label_map, mask)
+        # only a grounding that is its source's record Region in this
+        # frame survives a blank label map
+        fast = {view_id: tuple(sorted(
+            {node.groundings[view_id].source_id for node, v in grounded
+             if v == view_id and node.groundings[view_id].region
+             is raw.views[view_id].records[
+                 node.groundings[view_id].source_id].built_region}))
+            for view_id in raw.views}
+        assert clutter_free_obs(blank, g, keep, "cue").visible == fast
+        if name == "own":
+            assert fast == got.visible
+        elif name in ("copied", "shifted"):
+            assert not any(fast.values())
+    # the cup moved, the plates did not: earlier groundings are both
+    moved = {v: before.views[v].records[cup.id].region
+             is not raw.views[v].records[cup.id].region for v in raw.views}
+    assert all(moved.values())
+
+
+def test_clutter_free_obs_builds_no_region():
+    # a grounding whose source's record has no Region yet reads the label
+    # map; the record still has none afterwards
+    cfg = SceneConfig(task="swap_cups", distractors=4)
+    world = init_world(cfg, 1)
+    raw = Renderer(cfg.cameras, cfg.geometry["lift_m"]).render(world)
+    g = SemanticGraph()
+    clutter = [o.id for o in world.objects
+               if o.class_name in DISTRACTOR_CLASSES]
+    for oid in clutter:
+        groundings = {v: Grounding(Region.from_full(view.label_map == oid),
+                                   oid, 0)
+                      for v, view in raw.views.items()
+                      if oid in view.records}
+        g.add_node("clutter", {}, None, groundings, 0)
+    obs = clutter_free_obs(raw, g, list(g.nodes), "cue")
+    for v, view in raw.views.items():
+        assert obs.visible[v] == tuple(sorted(
+            oid for oid in clutter if oid in view.records))
+        for oid in clutter:
+            if oid in view.records:
+                assert view.records[oid].built_region is None

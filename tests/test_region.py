@@ -348,3 +348,40 @@ def test_package_runs_without_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_count_in_matches_full_frame_count():
+    rng = np.random.default_rng(20261020)
+    seen = {"whole": 0, "part": 0, "none": 0}
+    for region in random_regions(rng, 300):
+        mask = full_mask(region)
+        h, w = region.frame
+        r0, r1, c0, c1 = region.box
+        boxes = [(r0, r1, c0, c1), (r0 - 3, r1 + 3, c0 - 3, c1 + 3),
+                 (r1, r1 + 2, c0, c1), (-5, 0, -5, w + 5)]
+        for _ in range(6):
+            br0, bc0 = int(rng.integers(-5, h + 5)), int(rng.integers(-5, w + 5))
+            boxes.append((br0, br0 + int(rng.integers(0, 20)),
+                          bc0, bc0 + int(rng.integers(0, 20))))
+        for br0, br1, bc0, bc1 in boxes:
+            got = region.count_in(br0, br1, bc0, bc1)
+            inside = np.zeros_like(mask)
+            inside[max(br0, 0):max(br1, 0), max(bc0, 0):max(bc1, 0)] = True
+            want = int((mask & inside).sum())
+            assert type(got) is int and got == want
+            seen["whole" if got == region.area else
+                 "none" if got == 0 else "part"] += 1
+    assert min(seen.values()) > 0, seen
+
+
+def test_memos_live_in_the_instance_dict(hull_builds):
+    mask = np.zeros((9, 9), dtype=bool)
+    mask[2:7, 2:7] = True
+    mask[4, 4] = False
+    region = Region.from_full(mask)
+    assert "hull" not in vars(region) and "_runs" not in vars(region)
+    hull = region.hull
+    assert vars(region)["hull"] is hull and region.hull is hull
+    assert len(hull_builds) == 1
+    runs = region._runs
+    assert vars(region)["_runs"] is runs and region.rle() == list(runs)

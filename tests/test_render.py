@@ -2,6 +2,7 @@ import gc
 import math
 import tracemalloc
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -239,7 +240,8 @@ def test_rasterize_counts_negative_crossings_exactly():
     assert mask.shape == (1, 42) and mask.all()
 
 
-def test_rasterize_matches_reference_on_episode_footprints(monkeypatch):
+def test_rasterize_matches_reference_on_episode_footprints(monkeypatch,
+                                                          empty_held_table):
     # every polygon of every batch a few real episodes ask for, each batch
     # checked as it was rasterized; scattered poses make one batch a scene
     batches = []
@@ -392,7 +394,8 @@ def test_renderer_cache_consistent():
                               moved.views["overhead"].label_map)
 
 
-def test_render_rasterizes_only_what_moved_in_one_call(monkeypatch):
+def test_render_rasterizes_only_what_moved_in_one_call(monkeypatch,
+                                                       empty_held_table):
     batches = []
 
     def recording(polygons):
@@ -673,3 +676,171 @@ def test_label_map_is_read_only():
         for view in raw.views.values():
             with pytest.raises(ValueError):
                 view.label_map[0, 0] = 1
+
+
+def _rasterize_counter(monkeypatch) -> list:
+    """The size of every rasterize_polygon batch, in order."""
+    batches = []
+
+    def recording(polygons):
+        batches.append(len(polygons))
+        return rasterize_polygon(polygons)
+
+    monkeypatch.setattr(render, "rasterize_polygon", recording)
+    return batches
+
+
+def test_second_renderer_pick_rasterizes_nothing(monkeypatch,
+                                                 empty_held_table):
+    # a cup picked in one episode leaves its rasters, Region, hull and RLE
+    # runs in the held table; another episode's pick of a cup finds them
+    batches = _rasterize_counter(monkeypatch)
+    cfg, world = scene("swap_cups", seed=0)
+    r = Renderer(cfg.cameras, cfg.geometry["lift_m"])
+    r.render(world)
+    cup = world.by_class("cup")[0]
+    held, _ = apply_primitive(world, Primitive(kind="pick", target=cup.id))
+    first = r.render(held)
+    assert len(batches) == 2 and len(empty_held_table) == len(cfg.cameras)
+    regions = {v: view.records[cup.id].region
+               for v, view in first.views.items()}
+    for region in regions.values():
+        region.hull, region.rle()
+
+    world2 = init_world(cfg, 1)
+    r2 = Renderer(cfg.cameras, cfg.geometry["lift_m"])
+    r2.render(world2)
+    assert len(batches) == 3
+    cup2 = world2.by_class("cup")[1]
+    held2, _ = apply_primitive(world2, Primitive(kind="pick", target=cup2.id))
+    second = r2.render(held2)
+    assert len(batches) == 3  # nothing rasterized
+    for v, view in second.views.items():
+        rec = view.records[cup2.id]
+        assert rec.object_id == cup2.id and rec.region is regions[v]
+        assert "hull" in vars(rec.region) and "_runs" in vars(rec.region)
+        assert rec.visible_fraction == first.views[v].records[
+            cup.id].visible_fraction
+    assert len(empty_held_table) == len(cfg.cameras)
+    # the table holds copies, not views of a batch array
+    for entry in empty_held_table.values():
+        assert entry.mask.base is None
+
+
+def test_same_footprint_objects_at_one_pose_share_one_raster(
+        monkeypatch, empty_held_table):
+    # the blue cup put down where the black cup stood paints the black
+    # cup's raster: nothing is rasterized for it, and its record borrows
+    # the black cup's Region
+    batches = _rasterize_counter(monkeypatch)
+    cfg, world = scene("swap_cups", seed=0)
+    plate = world.by_class("plate")[0]
+    black, blue = sorted(world.by_class("cup"),
+                         key=lambda o: o.attribute("color"))
+    r = Renderer(cfg.cameras, cfg.geometry["lift_m"])
+    start = r.render(world)
+    for prim in (Primitive("pick", black.id), Primitive("place_on", plate.id),
+                 Primitive("pick", blue.id)):
+        world, result = apply_primitive(world, prim)
+        assert result.ok
+    r.render(world)
+    calls = len(batches)
+    moved = world.get(blue.id)
+    world = replace(world, objects=tuple(
+        replace(o, x=black.x, y=black.y, z_layer=black.z_layer)
+        if o.id == blue.id else o for o in world.objects),
+        gripper=replace(world.gripper, free=True, held=None))
+    assert (moved.x, moved.y) != (black.x, black.y)
+    after = r.render(world)
+    assert len(batches) == calls
+    for v, view in after.views.items():
+        rec, was = view.records[blue.id], start.views[v].records[black.id]
+        assert rec is not was and rec.object_id == blue.id
+        assert rec.region is was.region
+        assert np.array_equal(full_mask(rec.region),
+                              view.label_map == blue.id)
+
+
+@pytest.mark.parametrize("vision", ["raw", "masked"])
+def test_records_the_task_drops_build_no_region(monkeypatch, vision):
+    # a distractor's record is read for its class, id and visible fraction
+    # only; neither it nor its raster entry builds a Region
+    frames = []
+    real = Renderer.render
+
+    def recording(self, world):
+        raw = real(self, world)
+        frames.append(raw)
+        return raw
+
+    monkeypatch.setattr(Renderer, "render", recording)
+    cfg = perfect_config("swap_cups", distractors=8, vision=vision)
+    assert run_episode(cfg, 3).success
+    distractors = {o.id for o in init_world(cfg, 3).objects
+                   if o.class_name in world_mod.DISTRACTOR_CLASSES}
+    seen = {"dropped": 0, "kept": 0}
+    for raw in frames:
+        for view in raw.views.values():
+            for oid, rec in view.records.items():
+                if oid in distractors:
+                    assert rec.built_region is None
+                    assert 0.0 < rec.visible_fraction <= 1.0
+                    if isinstance(rec.source, render._Raster):
+                        assert "region" not in vars(rec.source)
+                    seen["dropped"] += 1
+                else:
+                    seen["kept"] += rec.built_region is rec.region
+    assert min(seen.values()) > 0, seen
+
+
+def test_occluded_record_does_not_borrow_its_raster_region():
+    # a plate under its cube shows part of its raster: its record builds
+    # its own Region; the cube on top shows all of its raster and borrows
+    cfg, world = scene("pnp_twice", seed=0)
+    cube = world.by_class("cube")[0]
+    raw = render_views(world, cfg.cameras, cfg.geometry["lift_m"])
+    for view in raw.views.values():
+        plate, top = view.records[cube.container_of], view.records[cube.id]
+        assert isinstance(top.source, render._Raster)
+        assert top.region is top.source.region
+        assert not isinstance(plate.source, render._Raster)
+        assert plate.visible_fraction < 1.0
+        assert np.array_equal(full_mask(plate.region),
+                              view.label_map == cube.container_of)
+        assert np.array_equal(full_mask(top.region),
+                              view.label_map == cube.id)
+
+
+def test_held_table_stops_growing_after_the_first_episode(empty_held_table):
+    cfg = perfect_config("swap_cups", distractors=8, vision="raw")
+    run_episode(cfg, 0)
+    entries = dict(empty_held_table)
+    assert entries
+    for seed in range(1, 41):
+        run_episode(cfg, seed)
+    assert empty_held_table.keys() == entries.keys()
+    assert all(empty_held_table[k] is e for k, e in entries.items())
+
+
+@pytest.mark.parametrize("change", ["lift_m", "camera"])
+def test_held_table_keys_by_lifted_pose_and_camera(empty_held_table, change):
+    # two configurations whose held cup sits at the same arm pose but
+    # renders differently: the second may not reuse the first's rasters
+    cfg = SceneConfig(task="swap_cups")
+    if change == "lift_m":
+        other = replace(cfg, geometry={**cfg.geometry, "lift_m": 0.02})
+    else:
+        other = replace(cfg, cameras=(replace(cfg.cameras[0], px_per_m=150.0),
+                                      cfg.cameras[1]))
+    held = {}
+    for c in (cfg, other):
+        world = init_world(c, 0)
+        cup = world.by_class("cup")[0]
+        world, _ = apply_primitive(world, Primitive("pick", cup.id))
+        raw = render_views(world, c.cameras, c.geometry["lift_m"])
+        for v, view in raw.views.items():
+            region = view.records[cup.id].region
+            assert np.array_equal(full_mask(region), view.label_map == cup.id)
+            held[c is cfg, v] = region
+    assert held[True, "overhead"].centroid != held[False, "overhead"].centroid
+    assert len(empty_held_table) == (4 if change == "lift_m" else 3)

@@ -247,3 +247,32 @@ def test_rle_encode_in_box_matches_full_frame():
         assert np.array_equal(rle_decode(runs, mask.shape), mask)
         edge_rows += bool(mask[0].any() or mask[-1].any())
     assert edge_rows > 0
+
+
+@pytest.mark.parametrize("runs", [
+    [-3, 12],
+    [4, -1, 6],
+    [True, 8],
+    [4, False, 5],
+    [4.0, 1, 4],
+    [4, 1.0, 4],
+    [np.int64(4), 1, 4],
+    ["4", 1, 4],
+    [None, 9],
+], ids=["negative_first", "negative_inner", "bool_true", "bool_false",
+        "float_first", "float_inner", "numpy_int", "string", "none"])
+def test_rle_decode_rejects_a_run_that_is_not_a_count(runs):
+    # on a 3x3 frame; [-3, 12] used to decode to 3 pixels
+    with pytest.raises(ValueError, match="not a non-negative int"):
+        rle_decode(runs, (3, 3))
+
+
+@pytest.mark.parametrize("runs", [[-3, 12], [True, 8], [4.0, 1, 4]],
+                         ids=["negative", "bool", "float"])
+def test_malformed_snapshot_run_is_reported(runs):
+    snap = graph_to_snapshot(built_graph())
+    node = snap["nodes"][0]
+    view = sorted(node["groundings"])[0]
+    node["groundings"][view].update(rle=runs, size=[3, 3])
+    with pytest.raises(ValueError, match="not a non-negative int"):
+        graph_from_snapshot(snap)
