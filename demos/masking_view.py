@@ -50,7 +50,7 @@ def main() -> int:
     world = init_world(cfg, args.seed)
     raw = render_views(world, cfg.cameras, cfg.geometry["lift_m"])
     spec = make_task_spec(cfg.task, cfg.variant)
-    graph = init_graph(raw, spec, cfg.thresholds)
+    graph = init_graph(raw, spec)
 
     out = evaluate_policy(load_task_program(cfg.task, cfg.variant), graph)
     relevant = set(out.relevant_objects) | {graph.arm_node_id()}

@@ -44,12 +44,11 @@ def association_trial(seed: int, sigma: float = 0.0) -> dict:
     cfg = random_scene_config(seed)
     world = init_world(cfg, seed)
     raw = render_views(world, cfg.cameras, cfg.geometry["lift_m"])
-    classes = tuple(sorted({o["class"] for o in cfg.custom_objects}))
-    spec = make_task_spec("custom", custom_classes=classes)
+    spec = make_task_spec("custom", custom_objects=cfg.custom_objects)
     noise = NoiseConfig(feature_sigma=sigma)
     dets = segment(raw, noise, Rng.substream(seed, "perception"), spec)
     views = sorted(dets)
-    pairs, singles, _ = associate(dets, cfg.thresholds)
+    pairs, singles, _ = associate(dets)
     in_both = ({d.source_id for d in dets[views[0]]}
                & {d.source_id for d in dets[views[1]]})
     got = {(a.source_id, b.source_id) for a, b in pairs}

@@ -2,7 +2,15 @@
 
 All distances are metres, all pixel values integers.  Anything omitted falls
 back to the defaults below, and the resolved config is what gets written into
-episode log headers, so a log is self-describing.
+episode log headers; with the package version beside it (replay refuses any
+other), a log is self-describing.
+
+Only what some run varies is an option here.  Values that every run shares
+are constants of the module that reads them: the table size and the oracle's
+near threshold (world.TABLE_BOUNDS, world.NEAR_THRESHOLD_M), the association
+thresholds (graph.TAU_VIS, TAU_GEO, MARGIN_GEO), and the step budget and the
+mock VLM's latency and flake rate (harness.STEP_BUDGET, MOCK_LATENCY_NS,
+MOCK_FLAKE_P).
 """
 
 from __future__ import annotations
@@ -129,16 +137,6 @@ class GroundingErrorModel:
 
 
 @dataclass(frozen=True)
-class AssocThresholds:
-    tau_vis: float = 0.15
-    tau_geo: float = 0.10
-    margin_geo: float = 0.05
-
-    def __post_init__(self) -> None:
-        _magnitudes(self, "tau_vis", "tau_geo", "margin_geo")
-
-
-@dataclass(frozen=True)
 class CameraConfig:
     """Similarity transform world->pixel: p = s * R(theta) * (w - look_at) + center."""
 
@@ -179,7 +177,8 @@ class CameraConfig:
 
 
 # Overhead covers the whole table; its diagonal (200 px at 160 px/m = 1.25 m)
-# ties the induced near rule (0.12 * diagonal) to the 0.15 m oracle threshold.
+# ties the induced near rule (graph.NEAR_FRACTION = 0.12 of the diagonal) to
+# the oracle's world.NEAR_THRESHOLD_M = 0.15 m.
 # The wrist view is a rotated zoom on the table centre, so edge objects drop
 # out of it and the cross-view association actually has work to do.
 DEFAULT_CAMERAS = (
@@ -228,18 +227,12 @@ class SceneConfig:
     task: str = "swap_cups"
     variant: str = "black"  # swap_cups: which cup must move first
     distractors: int = 0
-    table_bounds: tuple[float, float] = (1.0, 0.75)
-    near_threshold_m: float = 0.15
     cameras: tuple[CameraConfig, ...] = DEFAULT_CAMERAS
     perception_noise: NoiseConfig = field(default_factory=NoiseConfig)
     executor_error: GroundingErrorModel = field(default_factory=GroundingErrorModel)
-    thresholds: AssocThresholds = field(default_factory=AssocThresholds)
     geometry: Mapping = field(default_factory=lambda: dict(DEFAULT_GEOMETRY))
     planner: str = "code"
     vision: str = "masked"
-    step_budget: int = 200
-    mock_latency_s: float = 3.0
-    mock_flake_p: float = 0.08
     custom_objects: tuple = ()  # task == "custom": ({class,color,position}, ...)
 
     def __post_init__(self) -> None:
@@ -255,20 +248,10 @@ class SceneConfig:
             raise ConfigError(f"unknown planner mode {self.planner!r}")
         if self.vision not in VISION_MODES:
             raise ConfigError(f"unknown vision mode {self.vision!r}")
-        for name in ("distractors", "step_budget"):
-            _integer(getattr(self, name), name)
-        if self.distractors < 0:
+        if _integer(self.distractors, "distractors") < 0:
             raise ConfigError("distractors must be >= 0")
-        if self.step_budget < 1:
-            raise ConfigError("step_budget must be >= 1")
-        w, h = _numbers(self.table_bounds, "table_bounds", 2, _finite)
-        if w <= 0 or h <= 0:
-            raise ConfigError("table_bounds must be positive")
-        if _finite(self.near_threshold_m, "near_threshold_m") <= 0:
-            raise ConfigError("near_threshold_m must be > 0")
         for name, cls in (("perception_noise", NoiseConfig),
-                          ("executor_error", GroundingErrorModel),
-                          ("thresholds", AssocThresholds)):
+                          ("executor_error", GroundingErrorModel)):
             _instance(getattr(self, name), cls, name)
         object.__setattr__(self, "cameras", tuple(
             _instance(cam, CameraConfig, "camera")
@@ -282,8 +265,6 @@ class SceneConfig:
             raise ConfigError("custom task needs custom_objects")
         object.__setattr__(self, "custom_objects", tuple(map(
             _frozen_custom_object, _list(self.custom_objects, "custom_objects"))))
-        _magnitudes(self, "mock_latency_s")
-        _probabilities(self, "mock_flake_p")
         # stored merged with the defaults, as from_dict reads it
         object.__setattr__(self, "geometry", MappingProxyType(
             _geometry(self.geometry, _finite)))
@@ -297,7 +278,7 @@ class SceneConfig:
         d["cameras"] = [_field_dict(c) for c in self.cameras]
         d["geometry"] = dict(self.geometry)
         d["custom_objects"] = tuple(dict(spec) for spec in self.custom_objects)
-        for name in ("perception_noise", "executor_error", "thresholds"):
+        for name in ("perception_noise", "executor_error"):
             d[name] = _field_dict(d[name])
         return d
 
@@ -324,13 +305,6 @@ class SceneConfig:
                 kw[key] = _sub(NoiseConfig, value, key)
             elif key == "executor_error":
                 kw[key] = _sub(GroundingErrorModel, value, key)
-            elif key == "thresholds":
-                kw[key] = _sub(AssocThresholds, value, key)
-            elif key == "table_bounds":
-                kw[key] = _numbers(value, key, 2)
-            elif key in ("near_threshold_m", "mock_latency_s",
-                         "mock_flake_p"):
-                kw[key] = _number(value, key)
             elif key == "geometry":
                 kw[key] = _geometry(value)
             elif key == "custom_objects":

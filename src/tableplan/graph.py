@@ -7,10 +7,10 @@ task_memory list is the only state the planner ever writes.
 
 Cross-view identity is established in two stages:
 
-  semantic:   greedy mutual-nearest on cosine distance, accepted < tau_vis
-  geometric:  normalized anchor-distance signatures, accepted < tau_geo with
-              an ambiguity margin, using semantic matches (and, during
-              updates, already-grounded nodes) as anchors
+  semantic:   greedy mutual-nearest on cosine distance, accepted < TAU_VIS
+  geometric:  normalized anchor-distance signatures, accepted < TAU_GEO with
+              an ambiguity margin (MARGIN_GEO), using semantic matches (and,
+              during updates, already-grounded nodes) as anchors
 
 Object permanence: a node unseen in every view keeps its last groundings and
 its in/holding edges until contradicted; near edges are recomputed from the
@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import AssocThresholds, NoiseConfig
+from .config import NoiseConfig
 from .perception import Detection, TaskSpec, cosine_distance, segment, track
 from .region import HULL_PAD, Region
 from .rng import Rng
@@ -34,6 +34,9 @@ from .world import ARM_CLASS
 NEAR_FRACTION = 0.12   # of the image diagonal
 CONTAIN_COVERAGE = 0.85
 SUPPORT_CONTACT_PX = 5
+TAU_VIS = 0.15     # cosine distance under which features match
+TAU_GEO = 0.10     # signature distance under which leftovers match
+MARGIN_GEO = 0.05  # a geometric match's lead over the runner-up
 
 
 class NoAnchors(Exception):
@@ -256,7 +259,7 @@ def associate_geometric(points_a: list, points_b: list, anchors_a: list,
             if margin_ok(cost[i, :], j) and margin_ok(cost[:, j], i)]
 
 
-def associate(dets_by_view: dict, thresholds: AssocThresholds,
+def associate(dets_by_view: dict,
               node_anchors: Optional[dict] = None) -> tuple:
     """Full two-stage association across (up to) two views.
 
@@ -272,7 +275,7 @@ def associate(dets_by_view: dict, thresholds: AssocThresholds,
     dets_a, dets_b = list(dets_by_view[va]), list(dets_by_view[vb])
     extra = [d for v in views[2:] for d in dets_by_view[v]]
 
-    sem = associate_semantic(dets_a, dets_b, thresholds.tau_vis)
+    sem = associate_semantic(dets_a, dets_b, TAU_VIS)
     matched_a = {i for i, _ in sem}
     matched_b = {j for _, j in sem}
     pairs = [(dets_a[i], dets_b[j]) for i, j in sem]
@@ -284,8 +287,7 @@ def associate(dets_by_view: dict, thresholds: AssocThresholds,
     if node_anchors:
         anchors_a += [(("node", nid), c) for nid, c in node_anchors.get(va, [])]
         anchors_b += [(("node", nid), c) for nid, c in node_anchors.get(vb, [])]
-    all_ids = sorted({i for i, _ in anchors_a} | {i for i, _ in anchors_b},
-                     key=repr)
+    total_anchors = len({i for i, _ in anchors_a} | {i for i, _ in anchors_b})
 
     left_a = [d for k, d in enumerate(dets_a) if k not in matched_a]
     left_b = [d for k, d in enumerate(dets_b) if k not in matched_b]
@@ -297,7 +299,7 @@ def associate(dets_by_view: dict, thresholds: AssocThresholds,
                 [d.region.centroid for d in left_b],
                 [c for _, c in anchors_a], [c for _, c in anchors_b],
                 [i for i, _ in anchors_a], [i for i, _ in anchors_b],
-                len(all_ids), thresholds.tau_geo, thresholds.margin_geo)
+                total_anchors, TAU_GEO, MARGIN_GEO)
             got_a = {i for i, _ in geo}
             got_b = {j for _, j in geo}
             pairs += [(left_a[i], left_b[j]) for i, j in geo]
@@ -506,24 +508,22 @@ def _spawn_nodes(graph: SemanticGraph, pairs, singles, no_anchor_flag, step):
                        step, flags=flags)
 
 
-def init_graph(raw_obs, task_spec: TaskSpec, thresholds: AssocThresholds,
+def init_graph(raw_obs, task_spec: TaskSpec,
                noise: NoiseConfig = NoiseConfig(),
                rng: Optional[Rng] = None) -> SemanticGraph:
     """Bootstrap the graph from the first observation: an update of the
     empty graph, which has nothing to track, merge into, or anchor on."""
-    return update_graph(SemanticGraph(), raw_obs, task_spec, thresholds,
-                        noise, rng)
+    return update_graph(SemanticGraph(), raw_obs, task_spec, noise, rng)
 
 
 def update_graph(graph: SemanticGraph, raw_obs, task_spec: TaskSpec,
-                 thresholds: AssocThresholds,
                  noise: NoiseConfig = NoiseConfig(),
                  rng: Optional[Rng] = None, steps_elapsed: int = 1,
                  action_feedback: Optional[tuple] = None) -> SemanticGraph:
     """Advance the graph to a new observation (mutates and returns it).
 
     Track-propagated masks and fresh detections merge into existing nodes by
-    mask IoU (>= 0.5) or feature distance (< tau_vis); leftovers run the
+    mask IoU (>= 0.5) or feature distance (< TAU_VIS); leftovers run the
     association pipeline with existing nodes as anchors and then become new
     nodes.  Node ids are stable: re-detection after a tracking loss lands on
     the old node via its feature.
@@ -542,7 +542,7 @@ def update_graph(graph: SemanticGraph, raw_obs, task_spec: TaskSpec,
         leftovers[view_id] = []
         for det in dets[view_id]:
             target = _merge_target(nodes, det, view_id, tracked, merged,
-                                   thresholds.tau_vis)
+                                   TAU_VIS)
             if target is None:
                 leftovers[view_id].append(det)
                 continue
@@ -562,7 +562,7 @@ def update_graph(graph: SemanticGraph, raw_obs, task_spec: TaskSpec,
         node.last_seen_step = step
 
     pairs, singles, no_anchor_flag = associate(
-        leftovers, thresholds, node_anchors=_node_anchor_map(graph, step))
+        leftovers, node_anchors=_node_anchor_map(graph, step))
     _spawn_nodes(graph, pairs, singles, no_anchor_flag, step)
     _rebuild_edges(graph, raw_obs)
     if action_feedback is not None:

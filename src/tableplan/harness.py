@@ -31,6 +31,13 @@ from .serialize import canonical_json, graph_to_snapshot
 from .world import TASK_TABLE, MilestoneTracker, init_world
 
 
+STEP_BUDGET = 200  # simulator steps before an episode is cut off
+# the mock VLMs: a fixed latency per call, recorded in the volatile
+# latency_ns, and mock_vlm_graph's chance to flake on a call
+MOCK_LATENCY_NS = 3_000_000_000
+MOCK_FLAKE_P = 0.08
+
+
 class VersionMismatch(Exception):
     """Log was written by a different package version."""
 
@@ -132,13 +139,13 @@ def _code_choose(cfg, program, graph, rng) -> tuple:
 
 def _mock_vlm_graph_choose(cfg, program, graph, rng) -> tuple:
     out, decision_sid, _ = _code_choose(cfg, program, graph, rng)
-    return (_flake(out, graph, rng, cfg.mock_flake_p), decision_sid,
-            int(cfg.mock_latency_s * 1e9))
+    return (_flake(out, graph, rng, MOCK_FLAKE_P), decision_sid,
+            MOCK_LATENCY_NS)
 
 
 def _mock_vlm_rgb_choose(cfg, program, graph, rng) -> tuple:
     out, guess = rgb_choose(cfg.task, cfg.variant, graph, rng)
-    return out, guess, int(cfg.mock_latency_s * 1e9)
+    return out, guess, MOCK_LATENCY_NS
 
 
 # planner mode (keyed like config.PLANNER_MODES) -> (chooser, graph, runs
@@ -171,8 +178,7 @@ def run_episode(cfg: SceneConfig, seed: int, log_path=None,
     world0 = init_world(cfg, seed)
     tracker = MilestoneTracker(world0, cfg.task, cfg.variant)
     renderer = Renderer(cfg.cameras, cfg.geometry["lift_m"])
-    custom_classes = tuple(sorted({o["class"] for o in cfg.custom_objects}))
-    task_spec = make_task_spec(cfg.task, cfg.variant, custom_classes)
+    task_spec = make_task_spec(cfg.task, cfg.variant, cfg.custom_objects)
 
     percep_rng = Rng.substream(seed, "perception")
     exec_rng = Rng.substream(seed, "executor")
@@ -199,20 +205,19 @@ def run_episode(cfg: SceneConfig, seed: int, log_path=None,
     t0 = time.perf_counter()
 
     while True:
-        if tracker.world.step_count >= cfg.step_budget:
+        if tracker.world.step_count >= STEP_BUDGET:
             budget_exhausted = True
             break
         raw = renderer.render(tracker.world)
         if graph_kind == "frame":
-            plan_graph = init_graph(raw, task_spec, cfg.thresholds,
-                                    cfg.perception_noise, mock_rng)
+            plan_graph = init_graph(raw, task_spec, cfg.perception_noise,
+                                    mock_rng)
         elif plan_graph is None:
-            plan_graph = init_graph(raw, task_spec, cfg.thresholds,
-                                    cfg.perception_noise, percep_rng)
+            plan_graph = init_graph(raw, task_spec, cfg.perception_noise,
+                                    percep_rng)
         else:
-            update_graph(plan_graph, raw, task_spec, cfg.thresholds,
-                         cfg.perception_noise, percep_rng,
-                         steps_elapsed=raw.step - prev_step,
+            update_graph(plan_graph, raw, task_spec, cfg.perception_noise,
+                         percep_rng, steps_elapsed=raw.step - prev_step,
                          action_feedback=pending_feedback)
         pending_feedback = None
         if graph_kind == "memoryless":

@@ -79,13 +79,15 @@ class TaskSpec:
 
 
 def make_task_spec(task: str, variant: str = "black",
-                   custom_classes: tuple = ()) -> TaskSpec:
+                   custom_objects: tuple = ()) -> TaskSpec:
     """The task's instruction, formatted with the variant, and its relevant
     classes, both read from its world.TASK_TABLE entry; a custom task keeps
-    the classes of its custom objects.  ValueError for an unknown task."""
+    the classes of its custom objects (config's `custom_objects`).
+    ValueError for an unknown task."""
     entry = task_entry(task)
     return TaskSpec(entry.instruction.format(variant=variant),
-                    entry.classes or frozenset(custom_classes))
+                    entry.classes
+                    or frozenset(o["class"] for o in custom_objects))
 
 
 def perturbed_feature(bases: list, sigma: float, start_states: list) -> list:

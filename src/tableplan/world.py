@@ -33,6 +33,12 @@ DISTRACTOR_COLORS = ("red", "green", "yellow", "purple", "orange", "cyan")
 ARM_CLASS = "arm"
 HELD_Z = 4  # z layer of an object in the gripper; above any static stack
 
+TABLE_BOUNDS = (1.0, 0.75)  # (width, depth) of the table, metres
+# Two objects closer than this are near.  The layout keeps every pair clear
+# of it and ground_truth_relations judges by it; the induced rule is
+# graph.NEAR_FRACTION of the overhead view's diagonal, the same 0.15 m.
+NEAR_THRESHOLD_M = 0.15
+
 MILESTONE_PNP_ONCE = "PnP Once"
 MILESTONE_DROP_CUBE = "Drop Cube"
 MILESTONE_STAGE_CUP = "Stage Cup"
@@ -113,7 +119,6 @@ class PrimitiveResult:
 class WorldState:
     objects: tuple  # SimObject, ordered by id
     gripper: GripperState
-    table_bounds: tuple
     step_count: int
 
     def get(self, object_id: int) -> SimObject:
@@ -226,7 +231,7 @@ def _apply(world: WorldState, prim: Primitive) -> tuple:
 # -- relations oracle --------------------------------------------------------
 
 
-def ground_truth_relations(world: WorldState, near_threshold_m: float) -> set:
+def ground_truth_relations(world: WorldState) -> set:
     """Exact relation set: directed (a, b, in|on), canonical (min, max, near)."""
     rels = set()
     for obj in world.objects:
@@ -237,7 +242,7 @@ def ground_truth_relations(world: WorldState, near_threshold_m: float) -> set:
     objs = list(world.objects)
     for i, a in enumerate(objs):
         for b in objs[i + 1:]:
-            if math.hypot(a.x - b.x, a.y - b.y) < near_threshold_m:
+            if math.hypot(a.x - b.x, a.y - b.y) < NEAR_THRESHOLD_M:
                 rels.add((min(a.id, b.id), max(a.id, b.id), "near"))
     return rels
 
@@ -281,7 +286,7 @@ class _Placer:
         self.placed = []  # (x, y, z, radius)
 
     def admit(self, x, y, z, radius, extra=()) -> bool:
-        bw, bh = self.cfg.table_bounds
+        bw, bh = TABLE_BOUNDS
         margin = radius + 0.02
         if not (margin <= x <= bw - margin and margin <= y <= bh - margin):
             return False
@@ -291,7 +296,7 @@ class _Placer:
         for (r, zz) in ((radius, z),) + tuple(extra):
             if not _frame_fits(self.cfg.cameras, x, y, zz, r, lift):
                 return False
-        thr = self.cfg.near_threshold_m
+        thr = NEAR_THRESHOLD_M
         band = self.geom["near_margin_m"]
         gap = self.geom["min_gap_m"]
         for (px, py, pz, pr) in self.placed:
@@ -310,7 +315,7 @@ class _Placer:
     def sample(self, radius, z=1, x_range=None, y_range=None,
                annulus=None, extra=()) -> tuple:
         """Draw an admissible position; annulus=(cx, cy, r_lo, r_hi) if set."""
-        bw, bh = self.cfg.table_bounds
+        bw, bh = TABLE_BOUNDS
         x_lo, x_hi = x_range if x_range else (0.0, bw)
         y_lo, y_hi = y_range if y_range else (0.0, bh)
         for _ in range(1000):
@@ -390,8 +395,7 @@ class _Builder:
 
     def world(self) -> WorldState:
         return WorldState(
-            objects=tuple(self.objects), gripper=GripperState(),
-            table_bounds=self.cfg.table_bounds, step_count=0)
+            objects=tuple(self.objects), gripper=GripperState(), step_count=0)
 
 
 # -- tasks ---------------------------------------------------------------------
@@ -509,7 +513,7 @@ class PlaceAndStack(Task):
     @staticmethod
     def layout(b, cfg, rng):
         geom = cfg.geometry
-        bw = cfg.table_bounds[0]
+        bw = TABLE_BOUNDS[0]
         left = (0.0, bw * 0.33)
         right = (bw * 0.67, bw)
         flip = rng.randrange(2) == 1
@@ -522,7 +526,7 @@ class PlaceAndStack(Task):
         near_cup = cup_a if rng.randrange(2) == 0 else cup_b
         cube_r = circumradius(FOOTPRINTS["cube"](geom))
         r_lo = cube_r + geom["cup_radius"] + geom["min_gap_m"]
-        r_hi = cfg.near_threshold_m - geom["near_margin_m"] - 0.002
+        r_hi = NEAR_THRESHOLD_M - geom["near_margin_m"] - 0.002
         x, y = b.placer.sample(cube_r, z=1,
                                annulus=(near_cup.x, near_cup.y, r_lo, r_hi))
         b.add("cube", x, y, z=1)

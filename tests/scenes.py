@@ -20,7 +20,7 @@ from tableplan.graph import init_graph
 from tableplan.perception import make_task_spec, track
 from tableplan.render import Renderer
 from tableplan.rng import Rng
-from tableplan.world import LayoutInfeasible, init_world
+from tableplan.world import TABLE_BOUNDS, LayoutInfeasible, init_world
 
 TASKS = ("pnp_twice", "place_and_stack", "swap_cups")
 CONFIGS = Path(__file__).parents[1] / "configs"
@@ -67,7 +67,7 @@ def scattered_scenes(count: int, seed: int):
 def graph_and_drifted_tracks(cfg, raw, seed: int):
     """The scene's initial graph and its masks tracked with a drift of up
     to 24 px, which carries masks near the edge partly off the frame."""
-    graph = init_graph(raw, make_task_spec(cfg.task), cfg.thresholds)
+    graph = init_graph(raw, make_task_spec(cfg.task))
     tracked = track(graph.sorted_nodes(), raw,
                     NoiseConfig(tracker_drift_px_per_step=8.0),
                     Rng.substream(seed, "drift"), steps_elapsed=3)
@@ -128,7 +128,7 @@ def move_sequence(rng: np.random.Generator, frames: int):
             continue
         break
     lift = cfg.geometry["lift_m"]
-    bw, bh = cfg.table_bounds
+    bw, bh = TABLE_BOUNDS
     ids = {o.class_name: o.id for o in world.objects}
     worlds = [world]
     for _ in range(frames - 1):

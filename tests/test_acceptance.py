@@ -204,13 +204,13 @@ def test_07_relation_oracle_equivalence():
         for seed in range(100):
             world = init_world(cfg, seed)
             raw = render_views(world, cfg.cameras, cfg.geometry["lift_m"])
-            g = init_graph(raw, spec, cfg.thresholds)
+            g = init_graph(raw, spec)
             node_src = {n.node_id: next(iter(n.groundings.values())).source_id
                         for n in g.sorted_nodes()}
             got = {(node_src[a], node_src[b], rel) for (a, b, rel) in g.edges}
             relevant = {o.id for o in world.objects
                         if spec.admits(o.class_name)}
-            want = {t for t in ground_truth_relations(world, cfg.near_threshold_m)
+            want = {t for t in ground_truth_relations(world)
                     if t[0] in relevant and t[1] in relevant}
             assert got == want, (task, seed)
             checked += 1
@@ -279,9 +279,8 @@ def test_10_masking_soundness():
         seed += 1
         scenes += 1
         raw = render_views(world, cfg.cameras, cfg.geometry["lift_m"])
-        classes = tuple(sorted({o["class"] for o in cfg.custom_objects}))
-        g = init_graph(raw, make_task_spec("custom", custom_classes=classes),
-                       cfg.thresholds)
+        g = init_graph(raw, make_task_spec("custom",
+                                           custom_objects=cfg.custom_objects))
         ids = sorted(g.nodes)
         source_of = {nid: {gr.source_id
                            for gr in g.nodes[nid].groundings.values()}

@@ -66,65 +66,65 @@ def records_digest(records: list) -> str:
 # (config, seed) -> records digest
 PINNED = {
     ("custom_rgb", 1):
-        "7461764532701bdd088dd5dd12e6a044878d4432c16159a1b56b5faa59f4a5df",
+        "1a988cd1778e3295f72d26661125e6f52420c15513c50b90bf829cd1b69d5090",
     ("custom_rgb", 2):
-        "ce1fb88f6964d16b9fe56ced17dbaf20c80e5a71a85b100355c728430d732fd8",
+        "cf164c5e7b0ff2d91636c95ed0fadafacc8c48c79ac051d68f71eb8cf7f0d0b7",
     ("perfect_pnp_twice", 1):
-        "7f08a8312ffb751cb5db899ba8327157c413b45429dcb1de8eeeb4affc20c19c",
+        "ef5e120ff8ef46ac997093f9947eb9c9a2ab54684efd5bd8c7415df78977fd1f",
     ("perfect_pnp_twice", 2):
-        "41ef1f18b8119fcfdcf7ad7aff9b16a68a274ed9c53260b87496a07919a2cd5d",
+        "10378eff8e58163077b5d23f7a484872eb17c75bf64297e6eb846f1f81a9520a",
     ("perfect_place_and_stack", 1):
-        "358da5d308ec7122c08b4405a713a65e98ee115357bea1ad62271f17603888f2",
+        "81c830c2aa2cb930a31970725f26b5bf26a74f61a00cd6bfadf8634d5f90c2f3",
     ("perfect_place_and_stack", 2):
-        "18db636ad89ada0b6e0b170cd97b75690340e5e1d3dc68983df468c532716351",
+        "8fa2cf2d78937f366b3de0edb784d4bd5bdc45b86100bbd97b809c43a4e03718",
     ("perfect_swap_cups", 1):
-        "91e6577c0791c1eb6a7c0bde1344a79f2ef1a44873a0439a8918af844e9e01ab",
+        "e5f6a6f8921080d53aa785a0325f8daa1ee691e79a28b0315dbe382eeb856b0b",
     ("perfect_swap_cups", 2):
-        "e8d4ebc816e09189324eff1f40b6c616ffe678a63e9822fff1a55e9cb9713087",
+        "61891c8ad21f4206cd8627880263a9c1cfd4bfde5361c617dff58a28151bc101",
     ("perfect_swap_cups_blue", 1):
-        "495240c4717a2e144ead5ed163e38857313c9629809ec3b8f48fd1d1ec74c4db",
+        "d278500c26dd5e3703f8353d95ef32810e94534c62a5db59cf0cf6a8fc81316c",
     ("perfect_swap_cups_blue", 2):
-        "99b9871212f076205a2cacf401e2fb015a5749226ca09a5eef4bf9b84d70f234",
+        "8ec854828d4005359fc74a5f9b95431fa14bae3c4280b9d92fdf422f52234cb6",
     ("noisy_swap_cups_blue", 1):
-        "80b9fdc478be840f512f0d262d554cce7b5fba02ed96f59ac221e5dda18da654",
+        "e868f26d95cff988e2709c0a901d5808aee1ed163fc878b7788995799ed60159",
     ("noisy_swap_cups_blue", 2):
-        "7d7ddd70a3dfcf80d9331a97ef061a4ac451cc87345b473f3f07dc83fc2f34b1",
+        "34bd2b29e94cd963c83e8d4d835619b85fa5ebb888b047fb2e5eaba138bc4f87",
     ("swap_noisy", 1):
-        "4298e01b95db8de8dbb063087327cf92dbc188798cfcd19e3514315bce2124ec",
+        "192ea68a14aca0fe09fb61362e96ece329e7a86f22cb8bdbb5eb11752c034b3a",
     ("swap_noisy", 2):
-        "e16593fc8fb863621212a8f7d1b951342fb89c619e59984352fc2450faf330da",
+        "10738b4b0bb26854e526f8d819b4df7591a5d15a9956428e0a36f7bca9723988",
     ("raw_clutter", 1):
-        "bbb297d02f020b1a796838d21ec7fa8aab756b7e25085f00262913dc7dbaa9e0",
+        "8304833569a8eff0df4e6ac2b06395fbd232bc8e968ad9f608ec500aa9d3a274",
     ("raw_clutter", 2):
-        "1c186a1f468edaea92ee0d697011567e36cf7a0cd32bfaa4870ec39f6438b30a",
+        "c085b9fa17b2b1fec77e80c63b9a60a01a0d2cd17c7ba462b43555ac65eac0f1",
     ("markovian_pnp_twice", 1):
-        "961f230f116ed20c36fa4b5556516cb55bb4a47fe451f664a2db9a480206def5",
+        "55a4c224b6e6a7d1fa491cfef922b7bdf94b49014e790e380a7ddcb4e92e0fce",
     ("markovian_pnp_twice", 2):
-        "e1c4807c0d1e87d244d1dea62ddc6a20e1abfcd8458e86a2bb55e05f5bd1f95f",
+        "fd632137b595d50663e2519745c4ddc419f7122177ef19d56faaa446a2a37dd6",
     ("rgb_pnp_twice", 1):
-        "38126b6b20f4ab35275b0c5e43c0ecc80c5ab435dd6ea521244f7a102a044bd9",
+        "28ca9a360b38583755d31f47c63f0bf9a7bc831f41bb9516385b7d3d8c1d6b30",
     ("rgb_pnp_twice", 2):
-        "70d7ef28418c3a20e400a0c0c08335d4e7fe4d7c6a7cd313cfc0c0038c378d99",
+        "0a6d828059b84e61cdc31cad2b24b7800bcba64ef71628fc10bc01da5d5530cb",
     ("rgb_swap_cups", 1):
-        "9075bf02af50fe299756c827e6e6d8cfd221324fee1532f504c97a0adeda735a",
+        "3ecb663888eef333be360618c39366fd09de2a226d9716eddb323aa513ae8f8b",
     ("rgb_swap_cups", 2):
-        "57db340f44df907d98e268a22596e45d73f55db4b0953ddfa8fb66e38e656ac6",
+        "417c2d9ee6c1f3f6f9d1428857f430e3c3f0c29e962d7bbb5caf5cd4391850b0",
     ("rgb_swap_cups_blue", 1):
-        "a4d3abf1c894fff4259a9eddc3ddb01b3870e3947b55fdc39be153a119d250ba",
+        "70e08c9794d781c0266b0ecd791fc39ab533f3e2833f651ca1111a42e4155f74",
     ("rgb_swap_cups_blue", 2):
-        "33ebf0ec9945a4171bd92ead1c160a9316ae697a2dad8aa9d179a52a3eeae8d5",
+        "9cac5c0b1a0b4d9611daf0163c2af1c9668b8217e101d48b49ea49b880d76468",
     ("replay_code", 1):
-        "2e666ca63870abf8243a887be09f291bfeb646eb0fa38e4b3072f73c01ec7100",
+        "c01d5c97ba79db9baf34fa3f5185f0846c24f7e3d59b9c0e8b30a905db628f42",
     ("replay_code", 2):
-        "35e430db72e121709c878a3c24b87b570d4a0d703f308f790c6c941dbb31c19b",
+        "3e6048f5f3701b16cafa1b17b017a440b7992105b7a8306c2963c1f19fe02cdf",
     ("replay_mock_vlm_graph", 1):
-        "5d249a4c618936e78d32fa20b8954777f90e2e87061a5483e111e228df8fb860",
+        "f7b62b59c3cd87751255633cbef0a121f0a988494cf8b11643146d0af94a2e0d",
     ("replay_mock_vlm_graph", 2):
-        "62f6fce594c9f4225b8108618787583f12adc21d987a6aa13a0ad33453721d61",
+        "e0e92798d9b79693dcb276fc6ed51bb7fbe75e65268c29145e7b1d50f761ab7f",
     ("replay_mock_vlm_rgb", 1):
-        "ff4dbd8bc2b30ccd138ed1b386febade709db38417c30d88674a7080573f7b90",
+        "d1f832aedc458edf4ade64116386a59c297f2709532a30070e3dd3d89e7aa629",
     ("replay_mock_vlm_rgb", 2):
-        "c576449d7f10357b55d0145e53a3fa4cdc85478fd0272ec49307448d6701c1d7",
+        "12a999a262a5d8212818120322ba7c7b7f889d0c98dac3cc9549e9c5a221f702",
 }
 
 

@@ -163,15 +163,14 @@ def scene_graph(task, seed=0, variant="black"):
     world = init_world(cfg, seed)
     raw = render_views(world, cfg.cameras, cfg.geometry["lift_m"])
     spec = make_task_spec(task, variant)
-    return cfg, world, raw, init_graph(raw, spec, cfg.thresholds), spec
+    return cfg, world, raw, init_graph(raw, spec), spec
 
 
 def advance(cfg, world, graph, spec, prim, prev_step):
     world, res = apply_primitive(world, prim)
     assert res.ok, res.reason
     raw = render_views(world, cfg.cameras, cfg.geometry["lift_m"])
-    update_graph(graph, raw, spec, cfg.thresholds,
-                 steps_elapsed=raw.step - prev_step)
+    update_graph(graph, raw, spec, steps_elapsed=raw.step - prev_step)
     return world, raw.step
 
 
@@ -267,7 +266,7 @@ def test_memory_survives_where_rebinding_cannot():
                                  Primitive(kind="place_in", target=near_cup.id))
     assert res.ok
     raw2 = render_views(world, cfg.cameras, cfg.geometry["lift_m"])
-    update_graph(g, raw2, spec, cfg.thresholds,
+    update_graph(g, raw2, spec,
                  steps_elapsed=raw2.step - step,
                  action_feedback=("in", cube.id, near_cup.id))
 
@@ -275,7 +274,7 @@ def test_memory_survives_where_rebinding_cannot():
     assert out.emitted_step == "stack-cups"  # drop-cube's goal held
 
     # the memoryless rebuild: a brand-new graph from the same observation
-    fresh = init_graph(raw2, spec, cfg.thresholds)
+    fresh = init_graph(raw2, spec)
     assert fresh.resolve("cube") is None
     with pytest.raises(UnboundVariable):
         evaluate_policy(program, fresh)
@@ -302,7 +301,7 @@ def test_unbound_and_ambiguous_bindings():
 def parse_fresh(cfg, world):
     raw = render_views(world, cfg.cameras, cfg.geometry["lift_m"])
     spec = make_task_spec("swap_cups")
-    return init_graph(raw, spec, cfg.thresholds)
+    return init_graph(raw, spec)
 
 
 def test_stale_binding_detected():

@@ -20,7 +20,7 @@ def scene(task="swap_cups", seed=0, **kw):
     cfg = SceneConfig(task=task, **kw)
     world = init_world(cfg, seed)
     raw = render_views(world, cfg.cameras, cfg.geometry["lift_m"])
-    g = init_graph(raw, make_task_spec(task), cfg.thresholds)
+    g = init_graph(raw, make_task_spec(task))
     return cfg, world, raw, g
 
 
@@ -107,8 +107,7 @@ def test_held_object_may_be_masked_out():
     world, res = apply_primitive(world, Primitive(kind="pick", target=black_src))
     assert res.ok
     raw2 = render_views(world, cfg.cameras, cfg.geometry["lift_m"])
-    update_graph(g, raw2, make_task_spec("swap_cups"), cfg.thresholds,
-                 steps_elapsed=2)
+    update_graph(g, raw2, make_task_spec("swap_cups"), steps_elapsed=2)
     plate = g.resolve("plate")
     obs = clutter_free_obs(raw2, g, [plate],
                            "put the black cup inside the plate")
@@ -127,7 +126,7 @@ def test_hidden_object_needs_visible_parent():
         assert res.ok
     raw2 = render_views(world, cfg.cameras, cfg.geometry["lift_m"])
     spec = make_task_spec("place_and_stack")
-    update_graph(g, raw2, spec, cfg.thresholds, steps_elapsed=4,
+    update_graph(g, raw2, spec, steps_elapsed=4,
                  action_feedback=("in", cube.id, near_cup.id))
     cube_node = node_by_source(g, cube.id).node_id
     cup_node = node_by_source(g, near_cup.id).node_id

@@ -11,11 +11,10 @@ from scenes import (SEQUENCE_OBJECTS, full_frame_box, full_mask,
                     graph_and_drifted_tracks, scattered_scenes,
                     workload_configs)
 from tableplan import harness
-from tableplan.config import (AssocThresholds, NoiseConfig, SceneConfig,
-                              perfect_config)
+from tableplan.config import NoiseConfig, SceneConfig, perfect_config
 from tableplan import graph as graph_mod
 from tableplan.graph import (CONTAIN_COVERAGE, NEAR_FRACTION,
-                             SUPPORT_CONTACT_PX,
+                             SUPPORT_CONTACT_PX, TAU_VIS,
                              NoAnchors, SemanticGraph, _mutual_nearest,
                              _rebuild_edges, _spawn_nodes,
                              apply_action_feedback, associate,
@@ -34,8 +33,6 @@ from tableplan.world import (DISTRACTOR_CLASSES, LayoutInfeasible, Primitive,
                              apply_primitive, ground_truth_relations,
                              init_world)
 
-THRESH = AssocThresholds()
-
 
 def scene(task="swap_cups", seed=0, **kw):
     cfg = SceneConfig(task=task, **kw)
@@ -47,7 +44,7 @@ def scene(task="swap_cups", seed=0, **kw):
 def graph_for(task="swap_cups", seed=0, **kw):
     cfg, world, raw = scene(task, seed, **kw)
     spec = make_task_spec(task, kw.get("variant", "black"))
-    return cfg, world, raw, init_graph(raw, spec, cfg.thresholds)
+    return cfg, world, raw, init_graph(raw, spec)
 
 
 def fake_det(view, source, feature, centroid=(5.0, 5.0), cls="cube"):
@@ -150,16 +147,16 @@ def test_geometric_association_requires_anchors():
 
 def test_associate_single_view_all_singles():
     d = [fake_det("v1", 1, base_feature(1))]
-    pairs, singles, flag = associate({"v1": d}, THRESH)
+    pairs, singles, flag = associate({"v1": d})
     assert pairs == [] and singles == d and not flag
 
 
-def test_associate_no_anchor_flag():
+def test_associate_no_anchor_flag(monkeypatch):
     # nothing matches semantically and there are no anchors at all
+    monkeypatch.setattr(graph_mod, "TAU_VIS", 1e-9)
     a = [fake_det("v1", 1, base_feature(1))]
     b = [fake_det("v2", 2, base_feature(2))]
-    pairs, singles, flag = associate({"v1": a, "v2": b},
-                                     AssocThresholds(tau_vis=1e-9))
+    pairs, singles, flag = associate({"v1": a, "v2": b})
     assert pairs == [] and len(singles) == 2 and flag
 
 
@@ -232,7 +229,7 @@ def test_relations_match_oracle_on_initial_scenes():
             relevant = {o.id for o in world.objects
                         if spec.admits(o.class_name)}
             want = {(a, b, rel)
-                    for (a, b, rel) in ground_truth_relations(world, 0.15)
+                    for (a, b, rel) in ground_truth_relations(world)
                     if a in relevant and b in relevant}
             assert got == want, (task, seed)
 
@@ -614,8 +611,7 @@ def test_update_keeps_node_ids():
     world = run_prims(world, [Primitive(kind="pick", target=cup_src)])
     raw2 = render_views(world, cfg.cameras, cfg.geometry["lift_m"])
     spec = make_task_spec("swap_cups")
-    update_graph(g, raw2, spec, cfg.thresholds,
-                 steps_elapsed=raw2.step - raw.step)
+    update_graph(g, raw2, spec, steps_elapsed=raw2.step - raw.step)
     assert set(g.nodes) == ids0
     node = node_by_source(g, cup_src)
     assert g.held_node == node.node_id
@@ -642,7 +638,7 @@ def test_permanence_and_action_feedback():
     cube_node = node_by_source(g, cube_src)
     cup_node = node_by_source(g, cup_src)
 
-    update_graph(g, raw2, spec, cfg.thresholds,
+    update_graph(g, raw2, spec,
                  steps_elapsed=raw2.step - raw.step,
                  action_feedback=("in", cube_src, cup_src))
     key = (cube_node.node_id, cup_node.node_id, "in")
@@ -652,13 +648,13 @@ def test_permanence_and_action_feedback():
     # permanence: the edge survives later updates with no new evidence
     world, _ = apply_primitive(world, Primitive(kind="no_op"))
     raw3 = render_views(world, cfg.cameras, cfg.geometry["lift_m"])
-    update_graph(g, raw3, spec, cfg.thresholds, steps_elapsed=1)
+    update_graph(g, raw3, spec, steps_elapsed=1)
     assert key in g.edges
 
     # a pick of the hidden object disturbs the containment
     world = run_prims(world, [Primitive(kind="pick", target=cube_src)])
     raw4 = render_views(world, cfg.cameras, cfg.geometry["lift_m"])
-    update_graph(g, raw4, spec, cfg.thresholds, steps_elapsed=1)
+    update_graph(g, raw4, spec, steps_elapsed=1)
     assert key not in g.edges
     assert g.held_node == cube_node.node_id
 
@@ -672,7 +668,7 @@ def test_feedback_skipped_when_visible():
     world = run_prims(world, [Primitive(kind="pick", target=cube_src),
                               Primitive(kind="place_in", target=other)])
     raw2 = render_views(world, cfg.cameras, cfg.geometry["lift_m"])
-    update_graph(g, raw2, spec, cfg.thresholds,
+    update_graph(g, raw2, spec,
                  steps_elapsed=raw2.step - raw.step,
                  action_feedback=("in", cube_src, other))
     cube_node = node_by_source(g, cube_src)
@@ -736,7 +732,7 @@ def test_update_merges_by_feature_after_tracker_loss():
     raw2 = render_views(world, cfg.cameras, cfg.geometry["lift_m"])
     spec = make_task_spec("swap_cups")
     noise = NoiseConfig(tracker_loss_p=1.0)  # tracker yields nothing
-    update_graph(g, raw2, spec, cfg.thresholds, noise,
+    update_graph(g, raw2, spec, noise,
                  Rng.substream(0, "perception"), steps_elapsed=1)
     assert set(g.nodes) == ids0  # re-detections landed on the old nodes
     assert all(n.last_seen_step == raw2.step for n in g.sorted_nodes())
@@ -808,7 +804,7 @@ def test_merge_target_ties_keep_the_lowest_node_id():
     tracked = {(2, "v"): det.region, (3, "v"): det.region}
     for merged, want in ((set(), 2), ({(2, "v")}, 3),
                          ({(2, "v"), (3, "v")}, None)):
-        args = (nodes, det, "v", tracked, merged, THRESH.tau_vis)
+        args = (nodes, det, "v", tracked, merged, TAU_VIS)
         assert graph_mod._merge_target(*args) == want
         assert reference_merge_target(*args) == want
     # an equal but distinct Region ties by computed IoU the same way, and
@@ -818,7 +814,7 @@ def test_merge_target_ties_keep_the_lowest_node_id():
     for first, want in ((fake_det("v", 7, base_feature(7)).region, 1),
                         (Region.from_full(wider), 2)):
         tracked = {(1, "v"): first, (2, "v"): det.region}
-        args = (nodes, det, "v", tracked, set(), THRESH.tau_vis)
+        args = (nodes, det, "v", tracked, set(), TAU_VIS)
         assert graph_mod._merge_target(*args) == want
         assert reference_merge_target(*args) == want
 
@@ -946,8 +942,8 @@ def test_associate_semantic_matches_old_loop():
         b = [fake_det("v2", k, f) for k, f in enumerate(feats[4:4 + m])]
         cost = np.array([[1.0 - float(np.dot(x.feature, y.feature))
                           for y in b] for x in a])
-        want = reference_semantic_select(cost, THRESH.tau_vis)
-        assert associate_semantic(a, b, THRESH.tau_vis) == want
+        want = reference_semantic_select(cost, TAU_VIS)
+        assert associate_semantic(a, b, TAU_VIS) == want
         seen += bool(want)
     assert seen > 0
 
@@ -957,12 +953,12 @@ def test_associate_semantic_matches_old_loop():
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
-def eager_init_graph(raw_obs, task_spec, thresholds, noise, rng):
+def eager_init_graph(raw_obs, task_spec, noise, rng):
     """init_graph as a separate bootstrap, before it became an update of
     the empty graph."""
     graph = SemanticGraph(step=raw_obs.step)
     dets = segment(raw_obs, noise, rng, task_spec)
-    pairs, singles, no_anchor_flag = associate(dets, thresholds)
+    pairs, singles, no_anchor_flag = associate(dets)
     _spawn_nodes(graph, pairs, singles, no_anchor_flag, raw_obs.step)
     _rebuild_edges(graph, raw_obs)
     return graph
@@ -988,8 +984,7 @@ def bootstrap_frames():
              for name in ("swap_noisy.json", "cluttered_raw.json")]
     cfgs.append(SceneConfig(task="custom", custom_objects=SEQUENCE_OBJECTS))
     for cfg in cfgs:
-        spec = make_task_spec(cfg.task, cfg.variant, custom_classes=tuple(
-            o["class"] for o in cfg.custom_objects))
+        spec = make_task_spec(cfg.task, cfg.variant, cfg.custom_objects)
         for seed in range(12):
             try:
                 world = init_world(cfg, seed)
@@ -1012,10 +1007,8 @@ def test_init_graph_matches_eager_bootstrap():
     for cfg, spec, raw, seed in bootstrap_frames():
         got_rng = Rng.substream(seed, "perception")
         want_rng = Rng.substream(seed, "perception")
-        got = init_graph(raw, spec, cfg.thresholds, cfg.perception_noise,
-                         got_rng)
-        want = eager_init_graph(raw, spec, cfg.thresholds,
-                                cfg.perception_noise, want_rng)
+        got = init_graph(raw, spec, cfg.perception_noise, got_rng)
+        want = eager_init_graph(raw, spec, cfg.perception_noise, want_rng)
         assert canonical_json(graph_to_snapshot(got)) == \
             canonical_json(graph_to_snapshot(want))
         assert got_rng.getstate() == want_rng.getstate()

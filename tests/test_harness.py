@@ -3,15 +3,15 @@ from importlib import resources
 
 import pytest
 
-from tableplan import __version__
+from tableplan import __version__, harness
 from tableplan.config import (PLANNER_MODES, ConfigError, default_noise_config,
                               perfect_config)
 from tableplan.dsl import evaluate_policy, parse_program
 from tableplan.graph import init_graph
-from tableplan.harness import (PLANNERS, DivergenceAt, VersionMismatch,
-                               _flake, format_suite_table, load_log,
-                               load_task_program, replay_log, run_episode,
-                               run_suite, summarize_cell)
+from tableplan.harness import (MOCK_LATENCY_NS, PLANNERS, DivergenceAt,
+                               VersionMismatch, _flake, format_suite_table,
+                               load_log, load_task_program, replay_log,
+                               run_episode, run_suite, summarize_cell)
 from tableplan.perception import make_task_spec
 from tableplan.render import render_views
 from tableplan.rng import Rng
@@ -113,9 +113,9 @@ def test_planner_table_holds_every_mode():
     assert tuple(PLANNERS) == PLANNER_MODES
 
 
-def test_budget_exhaustion():
-    cfg = perfect_config("swap_cups", step_budget=5)
-    res = run_episode(cfg, seed=0)
+def test_budget_exhaustion(monkeypatch):
+    monkeypatch.setattr(harness, "STEP_BUDGET", 5)
+    res = run_episode(perfect_config("swap_cups"), seed=0)
     assert not res.success and not res.done
     assert res.footer["budget_exhausted"] is True
     assert res.footer["sim_steps"] >= 5
@@ -139,12 +139,12 @@ def test_code_planner_latency_measured():
     assert lats and all(0 < v < 100_000_000 for v in lats)  # measured, not injected
 
 
-def test_mock_latency_injected_exactly():
-    cfg = perfect_config("swap_cups", planner="mock_vlm_graph",
-                         mock_flake_p=0.0)
+def test_mock_latency_injected_exactly(monkeypatch):
+    monkeypatch.setattr(harness, "MOCK_FLAKE_P", 0.0)
+    cfg = perfect_config("swap_cups", planner="mock_vlm_graph")
     res = run_episode(cfg, seed=0)
     lats = [r["latency_ns"] for r in res.records if r.get("kind") == "record"]
-    assert lats and set(lats) == {3_000_000_000}
+    assert lats and set(lats) == {MOCK_LATENCY_NS} == {3_000_000_000}
     assert res.success  # flake off: graph mock behaves like code
 
 
@@ -171,7 +171,7 @@ def test_flake_swaps_same_class_peer():
     cfg = perfect_config("swap_cups")
     world = init_world(cfg, 0)
     raw = render_views(world, cfg.cameras, cfg.geometry["lift_m"])
-    g = init_graph(raw, make_task_spec("swap_cups"), cfg.thresholds)
+    g = init_graph(raw, make_task_spec("swap_cups"))
     out = evaluate_policy(load_task_program("swap_cups"), g)
     assert out.subtask_instruction == "pick up the black cup"
 

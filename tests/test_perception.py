@@ -121,7 +121,7 @@ def test_task_specs():
     spec = make_task_spec("swap_cups", "blue")
     assert "blue" in spec.instruction
 
-    spec = make_task_spec("custom", custom_classes=("bottle",))
+    spec = make_task_spec("custom", custom_objects=({"class": "bottle"},))
     assert spec.admits("bottle") and not spec.admits("cube")
     with pytest.raises(ValueError):
         make_task_spec("juggling")
@@ -208,10 +208,9 @@ def test_identify_relevant():
 
 def test_track_noise_free_reproduces_masks():
     from tableplan.graph import init_graph
-    from tableplan.config import AssocThresholds
     cfg, world, raw = rendered("swap_cups", seed=0)
     spec = make_task_spec("swap_cups")
-    g = init_graph(raw, spec, AssocThresholds())
+    g = init_graph(raw, spec)
     out = track(g.sorted_nodes(), raw, NoiseConfig(),
                 Rng.substream(0, "t"), steps_elapsed=1)
     for node in g.sorted_nodes():
@@ -223,10 +222,9 @@ def test_track_noise_free_reproduces_masks():
 
 def test_track_drift_bounded():
     from tableplan.graph import init_graph
-    from tableplan.config import AssocThresholds
     cfg, world, raw = rendered("swap_cups", seed=1)
     spec = make_task_spec("swap_cups")
-    g = init_graph(raw, spec, AssocThresholds())
+    g = init_graph(raw, spec)
     drift = 3.0
     steps = 2
     out = track(g.sorted_nodes(), raw,
@@ -249,10 +247,9 @@ def test_track_drift_bounded():
 
 def test_track_loss_rate():
     from tableplan.graph import init_graph
-    from tableplan.config import AssocThresholds
     cfg, world, raw = rendered("swap_cups", seed=2)
     spec = make_task_spec("swap_cups")
-    g = init_graph(raw, spec, AssocThresholds())
+    g = init_graph(raw, spec)
     total_groundings = sum(len(n.groundings) for n in g.sorted_nodes())
     rng = Rng.substream(3, "loss")
     p = 0.3
@@ -269,10 +266,9 @@ def test_track_loss_rate():
 
 def test_track_skips_sources_gone_from_frame():
     from tableplan.graph import init_graph
-    from tableplan.config import AssocThresholds
     cfg, world, raw = rendered("place_and_stack", seed=0)
     spec = make_task_spec("place_and_stack")
-    g = init_graph(raw, spec, AssocThresholds())
+    g = init_graph(raw, spec)
     cube = world.by_class("cube")[0]
     cup = world.by_class("cup")[0]
     world, _ = apply_primitive(world, Primitive(kind="pick", target=cube.id))

@@ -28,7 +28,7 @@ def scene(task="swap_cups", seed=0, **kw):
     cfg = SceneConfig(task=task, **kw)
     world = init_world(cfg, seed)
     raw = render_views(world, cfg.cameras, cfg.geometry["lift_m"])
-    g = init_graph(raw, make_task_spec(task), cfg.thresholds)
+    g = init_graph(raw, make_task_spec(task))
     return cfg, world, raw, g
 
 
@@ -202,7 +202,7 @@ def test_fast_path_matches_the_label_read():
     world = init_world(cfg, 0)
     r = Renderer(cfg.cameras, cfg.geometry["lift_m"])
     before = r.render(world)
-    g = init_graph(before, make_task_spec("swap_cups"), cfg.thresholds)
+    g = init_graph(before, make_task_spec("swap_cups"))
     cup = world.by_class("cup")[0]
     world, _ = apply_primitive(world, Primitive("pick", cup.id))
     raw = r.render(world)

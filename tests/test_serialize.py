@@ -125,7 +125,7 @@ def test_config_hash_frozen():
 
 def test_config_hash_covers_scene_config():
     base = SceneConfig().to_dict()
-    tweaked = SceneConfig(step_budget=201).to_dict()
+    tweaked = SceneConfig(distractors=1).to_dict()
     assert config_hash(base) != config_hash(tweaked)
     assert len(config_hash(base)) == 12
 
@@ -135,15 +135,14 @@ def built_graph():
     world = init_world(cfg, 3)
     raw = render_views(world, cfg.cameras, cfg.geometry["lift_m"])
     spec = make_task_spec("swap_cups")
-    g = init_graph(raw, spec, cfg.thresholds)
+    g = init_graph(raw, spec)
     program = load_program(PLANS / "swap_cups.plan")
     evaluate_policy(program, g)
     cup_src = world.by_class("cup")[0].id
     world, res = apply_primitive(world, Primitive(kind="pick", target=cup_src))
     assert res.ok
     raw2 = render_views(world, cfg.cameras, cfg.geometry["lift_m"])
-    update_graph(g, raw2, spec, cfg.thresholds,
-                 steps_elapsed=raw2.step - raw.step)
+    update_graph(g, raw2, spec, steps_elapsed=raw2.step - raw.step)
     return g
 
 

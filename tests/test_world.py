@@ -4,9 +4,9 @@ import pytest
 
 from oracles import bfs_min_acts
 from tableplan.config import TASKS, SceneConfig
-from tableplan.world import (HELD_Z, TASK_TABLE, LayoutInfeasible,
-                             MilestoneTracker, Primitive, UnknownObject,
-                             apply_primitive, circumradius,
+from tableplan.world import (HELD_Z, NEAR_THRESHOLD_M, TASK_TABLE,
+                             LayoutInfeasible, MilestoneTracker, Primitive,
+                             UnknownObject, apply_primitive, circumradius,
                              ground_truth_relations,
                              hidden_inside_opaque, init_world, regular_polygon,
                              task_oracle)
@@ -206,7 +206,7 @@ def test_pnp_layout():
 
 
 def test_pas_layout():
-    thr = SceneConfig().near_threshold_m
+    thr = NEAR_THRESHOLD_M
     for seed in range(10):
         w = world_for("place_and_stack", seed=seed)
         cube = w.by_class("cube")[0]
@@ -263,7 +263,7 @@ def test_appearance_seeds_unique():
 
 def test_ground_truth_relations():
     w = world_for("swap_cups", seed=0)
-    rels = ground_truth_relations(w, 0.15)
+    rels = ground_truth_relations(w)
     cups = w.by_class("cup")
     for cup in cups:
         assert (cup.id, cup.container_of, "in") in rels
@@ -272,7 +272,7 @@ def test_ground_truth_relations():
         if rel == "near":
             assert a < b
             oa, ob = w.get(a), w.get(b)
-            assert math.hypot(oa.x - ob.x, oa.y - ob.y) < 0.15
+            assert math.hypot(oa.x - ob.x, oa.y - ob.y) < NEAR_THRESHOLD_M
 
 
 def test_ground_truth_on_edge():
@@ -280,7 +280,7 @@ def test_ground_truth_on_edge():
     cups = w.by_class("cup")
     w, _ = apply_primitive(w, Primitive(kind="pick", target=cups[1].id))
     w, _ = apply_primitive(w, Primitive(kind="place_on", target=cups[0].id))
-    assert (cups[1].id, cups[0].id, "on") in ground_truth_relations(w, 0.15)
+    assert (cups[1].id, cups[0].id, "on") in ground_truth_relations(w)
 
 
 # -- milestone tracker ------------------------------------------------------------
